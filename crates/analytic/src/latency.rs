@@ -30,11 +30,12 @@ pub(crate) fn fill(model: &SystemModel, scratch: &mut Scratch, n: usize) {
 /// slot-alignment wait is added (see [`tdma_slot_wait`]).
 fn reduced_rate(model: &SystemModel, scratch: &mut Scratch, n: usize) {
     let granted: f64 = scratch.alloc[..n].iter().sum();
+    let tdma = model.protocol == Protocol::Tdma2Level;
+    let frame = if tdma { tdma_frame(model) } else { 0.0 };
     for i in 0..n {
         let m = &model.masters[i];
         let rate = 1.0 - (granted - scratch.alloc[i]);
-        let extra =
-            if model.protocol == Protocol::Tdma2Level { tdma_slot_wait(model, i) } else { 0.0 };
+        let extra = if tdma { tdma_slot_wait(model, frame, i) } else { 0.0 };
         let (cpw, p99) = mg1(m.lambda, m.mean_tenure, m.tenure_sq, m.mean_words, rate, extra);
         let pred = &mut scratch.preds[i];
         pred.cycles_per_word = cpw;
@@ -69,15 +70,20 @@ fn mg1(
     (Some((wait + s) / mean_words), Some(s + LN_100 * wait))
 }
 
+/// The TDMA frame length `F = Σ block · weight` in cycles.
+fn tdma_frame(model: &SystemModel) -> f64 {
+    let block = f64::from(model.tdma_block);
+    model.masters.iter().map(|m| block * f64::from(m.weight)).sum()
+}
+
 /// Mean cycles a random arrival waits for its reserved TDMA block:
 /// with a frame of `F` cycles and an own block of `b`, a uniformly
 /// placed arrival outside the block waits `(F − b)² / (2F)` on
 /// average. The second-level round-robin reclaims unclaimed slots, so
 /// this is an upper-bound flavour of the alignment penalty; the
 /// validation grid measures how tight it is.
-fn tdma_slot_wait(model: &SystemModel, i: usize) -> f64 {
+fn tdma_slot_wait(model: &SystemModel, frame: f64, i: usize) -> f64 {
     let block = f64::from(model.tdma_block);
-    let frame: f64 = model.masters.iter().map(|m| block * f64::from(m.weight)).sum();
     if frame <= EPS {
         return 0.0;
     }
@@ -88,13 +94,14 @@ fn tdma_slot_wait(model: &SystemModel, i: usize) -> f64 {
 
 /// Cobham's mean waits for non-preemptive M/G/1 priority queueing:
 /// `Wₖ = R / ((1 − σₖ₋₁)(1 − σₖ))` with residual service
-/// `R = Σⱼ λⱼ E[tⱼ²] / 2` over *all* classes and `σₖ` the demand of
+/// `R = Σⱼ λⱼ E[tⱼ²] / 2` over *all* classes (weight-independent, so
+/// `SystemModel::prepare` computes it) and `σₖ` the demand of
 /// classes at priority ≥ k. Classes are ordered by descending weight,
 /// ties broken by lower index (the simulator's tie-break). A class
 /// whose cumulative demand reaches capacity is unstable: its latency —
 /// and every lower class's — is unbounded.
 fn priority(model: &SystemModel, scratch: &mut Scratch, n: usize) {
-    let residual: f64 = model.masters.iter().map(|m| m.lambda * m.tenure_sq / 2.0).sum::<f64>();
+    let residual = scratch.residual;
     let mut order = [0usize; crate::MAX_MASTERS];
     for (i, slot) in order.iter_mut().take(n).enumerate() {
         *slot = i;

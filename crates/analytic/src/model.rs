@@ -13,6 +13,12 @@ pub const MAX_MASTERS: usize = 16;
 /// Numerical slack used when comparing allocations against demands.
 pub(crate) const EPS: f64 = 1e-9;
 
+/// Headroom below bus capacity that makes an unsaturated cell provably
+/// weight-free (see [`SystemModel::weight_free`]). Rounding in the water
+/// fill is on the order of `MAX_MASTERS² · 2⁻⁵²` — nine orders of
+/// magnitude smaller.
+const WEIGHT_FREE_HEADROOM: f64 = 1e-6;
+
 /// The arbitration protocols the predictors cover — the simulator's
 /// five-protocol comparison lineup plus the dynamic lottery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,6 +191,13 @@ impl MasterModel {
     }
 }
 
+/// Deficit round-robin's effective word-space weight
+/// `min(weight · quantum, max_burst)` (see
+/// [`SystemModel::drr_effective_weight`]).
+pub(crate) fn drr_effective(weight: u32, quantum: u32, max_burst: u32) -> u32 {
+    weight.saturating_mul(quantum.max(1)).min(max_burst.max(1))
+}
+
 /// The closed-form prediction for one master.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Prediction {
@@ -223,10 +236,17 @@ pub struct SystemPrediction {
 /// Reusable evaluation workspace. One instance serves any number of
 /// [`SystemModel::evaluate`] calls without allocating, which is what
 /// lets the design-space search visit millions of points per second.
+///
+/// `units`, `cost`, `total_demand` and `residual` are the
+/// weight-independent terms written by `SystemModel::prepare`; the rest
+/// is rewritten by every weight pass.
 #[derive(Debug, Clone)]
 pub struct Scratch {
     pub(crate) units: [f64; MAX_MASTERS],
     pub(crate) cost: [f64; MAX_MASTERS],
+    pub(crate) total_demand: f64,
+    /// Cobham's residual service `Σ λ E[t²] / 2` (static priority).
+    pub(crate) residual: f64,
     pub(crate) weight: [f64; MAX_MASTERS],
     pub(crate) alloc: [f64; MAX_MASTERS],
     /// Per-master predictions of the last `evaluate` call; only the
@@ -240,6 +260,8 @@ impl Scratch {
         Scratch {
             units: [0.0; MAX_MASTERS],
             cost: [0.0; MAX_MASTERS],
+            total_demand: 0.0,
+            residual: 0.0,
             weight: [0.0; MAX_MASTERS],
             alloc: [0.0; MAX_MASTERS],
             preds: [Prediction::default(); MAX_MASTERS],
@@ -346,26 +368,47 @@ impl SystemModel {
     /// each backlogged master once per round, so quantum beyond one
     /// full burst buys nothing.
     pub fn drr_effective_weight(&self, i: usize) -> u32 {
-        self.masters[i].weight.saturating_mul(self.drr_quantum.max(1)).min(self.max_burst.max(1))
+        drr_effective(self.masters[i].weight, self.drr_quantum, self.max_burst)
     }
 
     /// Evaluates the closed forms into `scratch` (alloc-free) and
     /// returns the system summary. Per-master results land in
     /// `scratch.preds[..masters.len()]`.
     pub fn evaluate(&self, scratch: &mut Scratch) -> Summary {
+        self.prepare(scratch);
+        self.evaluate_weights(scratch)
+    }
+
+    /// The weight-independent half of [`evaluate`](Self::evaluate):
+    /// resource units demanded per cycle, bus cycles per unit, total
+    /// demand and the priority residual. A scan runs it once per
+    /// (burst, load-scale) cell and then any number of
+    /// [`evaluate_weights`](Self::evaluate_weights) passes that change
+    /// only the masters' weights.
+    pub(crate) fn prepare(&self, scratch: &mut Scratch) {
         let n = self.masters.len();
         debug_assert!((1..=MAX_MASTERS).contains(&n));
-        let space = self.protocol.space();
-
-        // Resource units demanded per cycle and bus cycles per unit.
         for (i, m) in self.masters.iter().enumerate() {
-            let (units, cost) = match space {
+            let (units, cost) = match self.protocol.space() {
                 Space::Waterfall | Space::Cycle => (m.demand(), 1.0),
                 Space::Grant => (m.lambda * m.mean_grants, m.mean_tenure / m.mean_grants),
                 Space::Word => (m.word_rate(), m.mean_tenure / m.mean_words),
             };
             scratch.units[i] = units;
             scratch.cost[i] = cost;
+        }
+        scratch.total_demand = self.masters.iter().map(MasterModel::demand).sum();
+        scratch.residual = self.masters.iter().map(|m| m.lambda * m.tenure_sq / 2.0).sum::<f64>();
+    }
+
+    /// The weight-dependent half of [`evaluate`](Self::evaluate): the
+    /// weight vector, the water fill, shares and latency. `scratch` must
+    /// hold a [`prepare`](Self::prepare) of a model that differs from
+    /// this one in weights only.
+    pub(crate) fn evaluate_weights(&self, scratch: &mut Scratch) -> Summary {
+        let n = self.masters.len();
+        let space = self.protocol.space();
+        for (i, m) in self.masters.iter().enumerate() {
             scratch.weight[i] = match self.protocol {
                 // Plain round-robin serves backlogged masters equally
                 // regardless of declared weights.
@@ -376,7 +419,7 @@ impl SystemModel {
             };
         }
 
-        let total_demand: f64 = self.masters.iter().map(MasterModel::demand).sum();
+        let total_demand = scratch.total_demand;
         match space {
             Space::Waterfall => alloc::priority_fill(
                 &scratch.units[..n],
@@ -410,6 +453,39 @@ impl SystemModel {
         latency::fill(self, scratch, n);
 
         Summary { total_demand, bus_utilization, saturated: total_demand >= 1.0 - EPS }
+    }
+
+    /// Whether [`evaluate_weights`](Self::evaluate_weights) returns the
+    /// same predictions, bit for bit, for every weight vector with all
+    /// weights ≥ 1 — so a scan may evaluate the cell once. `scratch`
+    /// must hold this model's [`prepare`](Self::prepare).
+    ///
+    /// Round-robin ignores weights outright. Lottery and DRR only use
+    /// them in the water fill, and an unsaturated fill grants every
+    /// active master (`units > EPS`) exactly `units` and every other
+    /// master 0.0, whatever the weights. The margin bound that makes
+    /// "unsaturated" safe is `Σ units·cost ≤ 1 − 10⁻⁶` over the active
+    /// masters: every round of the fill raises the level to some active
+    /// master's `units / weight`, so the cycles it has handed out never
+    /// exceed `Σ units·cost`, the `need >= cap` branch can never fire,
+    /// and the remaining capacity never drops below 10⁻⁶ > `EPS` before
+    /// the last active master caps at its demand. The latency pass of
+    /// these protocols reads allocations, never weights. TDMA (slot
+    /// alignment) and static priority (service order) depend on
+    /// weights even when unsaturated.
+    pub(crate) fn weight_free(&self, scratch: &Scratch) -> bool {
+        let n = self.masters.len();
+        match self.protocol {
+            Protocol::RoundRobin => true,
+            Protocol::LotteryStatic | Protocol::LotteryDynamic | Protocol::DeficitRoundRobin => {
+                let busy: f64 = (0..n)
+                    .filter(|&i| scratch.units[i] > EPS)
+                    .map(|i| scratch.units[i] * scratch.cost[i])
+                    .sum();
+                busy <= 1.0 - WEIGHT_FREE_HEADROOM
+            }
+            Protocol::StaticPriority | Protocol::Tdma2Level => false,
+        }
     }
 
     /// Evaluates the closed forms and returns an owned prediction.
@@ -530,6 +606,59 @@ mod tests {
                 assert!(cpw >= 1.0, "{protocol}: cycles/word {cpw}");
             }
         }
+    }
+
+    #[test]
+    fn weight_free_cells_predict_identically_for_every_weight_vector() {
+        // Loads from idle through the 1 − 10⁻⁶ headroom to overload;
+        // every weight vector of a cell flagged weight-free must
+        // reproduce the all-ones evaluation bit for bit.
+        let sizes = [SizeDist::fixed(16), SizeDist::fixed(5), SizeDist::bimodal(2, 40, 0.3)];
+        let vectors: [[u32; 3]; 5] = [[1, 1, 1], [7, 1, 3], [1, 30, 2], [4, 4, 9], [64, 1, 1]];
+        let mut flagged = 0;
+        for protocol in Protocol::ALL {
+            for demand in [0.0, 0.4, 0.9, 1.0 - 2e-6, 1.0 - 1e-6, 1.0 - 5e-7, 1.0, 1.3] {
+                let masters: Vec<MasterModel> = sizes
+                    .iter()
+                    .map(|&size| {
+                        let m = MasterModel::new(0.0, size, 1, 2, 8);
+                        MasterModel { lambda: demand / 3.0 / m.mean_tenure, ..m }
+                    })
+                    .collect();
+                let mut model = SystemModel::new(protocol, masters);
+                model.max_burst = 8;
+                let mut scratch = Scratch::new();
+                model.prepare(&mut scratch);
+                if !model.weight_free(&scratch) {
+                    continue;
+                }
+                flagged += 1;
+                model.evaluate_weights(&mut scratch);
+                let base = scratch.preds;
+                for weights in &vectors {
+                    for (m, &w) in model.masters.iter_mut().zip(weights) {
+                        m.weight = w;
+                    }
+                    model.evaluate(&mut scratch);
+                    for (got, want) in scratch.preds[..3].iter().zip(&base) {
+                        assert_eq!(got.share.to_bits(), want.share.to_bits(), "{protocol}");
+                        assert_eq!(got.stable, want.stable, "{protocol}");
+                        assert_eq!(
+                            got.cycles_per_word.map(f64::to_bits),
+                            want.cycles_per_word.map(f64::to_bits),
+                            "{protocol} at demand {demand}"
+                        );
+                        assert_eq!(
+                            got.p99_latency.map(f64::to_bits),
+                            want.p99_latency.map(f64::to_bits),
+                            "{protocol} at demand {demand}"
+                        );
+                    }
+                }
+            }
+        }
+        // Round-robin at every load, lottery ×2 and DRR below headroom.
+        assert!(flagged >= 8 + 3 * 4, "only {flagged} weight-free cells");
     }
 
     #[test]

@@ -12,6 +12,27 @@
 //! short list reports each *allocation shape* once, at its smallest
 //! ticket sum.
 //!
+//! The scan is incremental, and exact: its report is bit-for-bit the
+//! one a full [`SystemModel::evaluate`] per point would give.
+//!
+//! * **Per-cell prepare.** Units, costs, total demand and the priority
+//!   residual do not depend on weights; they are computed once per
+//!   (burst, load-scale) cell. Each point reruns only the weight pass:
+//!   the weight vector, the water fill, shares and latency.
+//! * **Weight-free cells.** Round-robin ignores weights, and an
+//!   unsaturated lottery or DRR cell grants every master its demand
+//!   whatever the weights (see `SystemModel::weight_free` for the
+//!   margin bound). Such a cell is evaluated once; its odometer walk
+//!   only feeds the short list, and stops as soon as no later point can
+//!   change it.
+//! * **Cached shapes.** The short list keeps each candidate's shape
+//!   signature and the worst margin of a full list, so a point below
+//!   that margin is turned away without computing any shape.
+//!
+//! TDMA, static priority and saturated lottery and DRR cells run the
+//! weight pass at every point. [`SearchReport::evaluated`] and
+//! [`SearchReport::weight_free_cells`] count how much work was reused.
+//!
 //! ```
 //! use analytic::{Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
 //! use socsim::BusConfig;
@@ -32,7 +53,9 @@
 //! assert_eq!(best.weights[3], *best.weights.iter().max().unwrap());
 //! ```
 
-use crate::model::{MasterModel, Prediction, Protocol, Scratch, SystemModel, MAX_MASTERS};
+use crate::model::{
+    drr_effective, MasterModel, Prediction, Protocol, Scratch, SystemModel, MAX_MASTERS,
+};
 use socsim::BusConfig;
 use traffic_gen::SizeDist;
 
@@ -193,6 +216,13 @@ pub struct SearchReport {
     pub scanned: u64,
     /// Points satisfying every target.
     pub feasible: u64,
+    /// Points that ran the full weight pass; the other
+    /// `scanned − evaluated` reused the predictions of an earlier pass
+    /// whose inputs they share.
+    pub evaluated: u64,
+    /// (burst, load-scale) cells whose predictions no weight vector can
+    /// change, each evaluated once for all of its points.
+    pub weight_free_cells: u64,
     /// Best feasible candidates, one per allocation shape, by
     /// descending margin.
     pub candidates: Vec<Candidate>,
@@ -220,7 +250,10 @@ pub fn search(
     let mut scratch = Scratch::new();
     let mut scanned = 0u64;
     let mut feasible = 0u64;
-    let mut shortlist: Vec<Candidate> = Vec::new();
+    let mut evaluated = 0u64;
+    let mut weight_free_cells = 0u64;
+    let mut shortlist = Shortlist::new(top);
+    let per_cell = u64::from(space.max_tickets).saturating_pow(n as u32);
 
     for &burst in &space.bursts {
         let bus = BusConfig { max_burst: burst, ..space.bus };
@@ -237,6 +270,7 @@ pub fn search(
                 )
             })
             .collect();
+        let ctx = ShapeCtx { protocol: space.protocol, drr_quantum: space.drr_quantum, burst };
         for &scale in &space.load_scales {
             let masters: Vec<MasterModel> =
                 base.iter().map(|m| MasterModel { lambda: m.lambda * scale, ..*m }).collect();
@@ -244,54 +278,64 @@ pub fn search(
                 .with_tdma_block(space.tdma_block)
                 .with_drr_quantum(space.drr_quantum);
             model.max_burst = burst;
+            model.prepare(&mut scratch);
+
+            if model.weight_free(&scratch) {
+                // One evaluation stands for the whole cell.
+                weight_free_cells += 1;
+                evaluated += 1;
+                model.evaluate_weights(&mut scratch);
+                let margin = margin_of(targets, &scratch.preds);
+                scanned = scanned.saturating_add(per_cell);
+                if margin >= 0.0 {
+                    feasible = feasible.saturating_add(per_cell);
+                    let preds = &scratch.preds[..n];
+                    shortlist.walk_uniform_cell(ctx, n, space.max_tickets, scale, margin, preds);
+                }
+                continue;
+            }
+
             let mut weights = [1u32; MAX_MASTERS];
             loop {
                 for (m, &w) in model.masters.iter_mut().zip(&weights[..n]) {
                     m.weight = w;
                 }
-                model.evaluate(&mut scratch);
-                let margin = targets
-                    .iter()
-                    .map(|t| t.slack(&scratch.preds[t.master]))
-                    .fold(f64::INFINITY, f64::min);
+                model.evaluate_weights(&mut scratch);
+                let margin = margin_of(targets, &scratch.preds);
+                evaluated += 1;
                 scanned += 1;
                 if margin >= 0.0 {
                     feasible += 1;
-                    let ctx = ShapeCtx {
-                        protocol: space.protocol,
-                        drr_quantum: space.drr_quantum,
-                        burst,
-                    };
-                    offer(
-                        &mut shortlist,
-                        top,
-                        ctx,
-                        &weights[..n],
-                        burst,
-                        scale,
-                        margin,
-                        &scratch.preds[..n],
-                    );
+                    shortlist.offer(ctx, &weights[..n], scale, margin, &scratch.preds[..n]);
                 }
-                // Odometer over the ticket grid.
-                let mut digit = 0;
-                while digit < n {
-                    weights[digit] += 1;
-                    if weights[digit] <= space.max_tickets {
-                        break;
-                    }
-                    weights[digit] = 1;
-                    digit += 1;
-                }
-                if digit == n {
+                if !advance(&mut weights[..n], space.max_tickets) {
                     break;
                 }
             }
         }
     }
 
-    shortlist.sort_by(|a, b| b.margin.partial_cmp(&a.margin).expect("finite margins"));
-    Ok(SearchReport { scanned, feasible, candidates: shortlist })
+    let mut candidates = shortlist.candidates;
+    candidates.sort_by(|a, b| b.margin.partial_cmp(&a.margin).expect("finite margins"));
+    Ok(SearchReport { scanned, feasible, evaluated, weight_free_cells, candidates })
+}
+
+/// Worst normalized slack of the predictions over all targets.
+fn margin_of(targets: &[SlaTarget], preds: &[Prediction]) -> f64 {
+    targets.iter().map(|t| t.slack(&preds[t.master])).fold(f64::INFINITY, f64::min)
+}
+
+/// Steps the odometer over the ticket grid `1..=max` (digit 0 fastest);
+/// returns false once every digit has wrapped.
+fn advance(weights: &mut [u32], max: u32) -> bool {
+    for w in weights.iter_mut() {
+        *w += 1;
+        if *w <= max {
+            return true;
+        }
+        *w = 1;
+    }
+    false
 }
 
 /// The dedup context of one scan cell: the protocol plus the knobs
@@ -323,9 +367,7 @@ fn shape(ctx: ShapeCtx, weights: &[u32], out: &mut [u32; MAX_MASTERS]) {
         }
         _ => {
             let eff = |w: u32| match ctx.protocol {
-                Protocol::DeficitRoundRobin => {
-                    w.saturating_mul(ctx.drr_quantum.max(1)).min(ctx.burst.max(1))
-                }
+                Protocol::DeficitRoundRobin => drr_effective(w, ctx.drr_quantum, ctx.burst),
                 _ => w,
             };
             let g = weights.iter().fold(0u32, |g, &w| gcd(g, eff(w))).max(1);
@@ -344,60 +386,135 @@ fn gcd(a: u32, b: u32) -> u32 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn offer(
-    shortlist: &mut Vec<Candidate>,
+/// The short list under construction, with each candidate's shape
+/// signature cached beside it and the worst margin of a full list kept
+/// current, so most feasible points are turned away by one comparison.
+struct Shortlist {
     top: usize,
-    ctx: ShapeCtx,
-    weights: &[u32],
-    burst: u32,
-    load_scale: f64,
-    margin: f64,
-    preds: &[Prediction],
-) {
-    if top == 0 {
-        return;
+    candidates: Vec<Candidate>,
+    shapes: Vec<[u32; MAX_MASTERS]>,
+    /// Index and margin of the first minimum-margin candidate.
+    worst: (usize, f64),
+}
+
+impl Shortlist {
+    fn new(top: usize) -> Self {
+        Shortlist { top, candidates: Vec::new(), shapes: Vec::new(), worst: (0, f64::INFINITY) }
     }
-    let mut sig = [0u32; MAX_MASTERS];
-    shape(ctx, weights, &mut sig);
-    let mut other = [0u32; MAX_MASTERS];
-    // Same shape in the same (burst, scale) cell: keep the best margin,
-    // and at equal margin the smallest ticket sum (the cheapest wheel).
-    if let Some(existing) = shortlist.iter_mut().find(|c| {
-        shape(ctx, &c.weights, &mut other);
-        c.burst == burst
-            && c.load_scale == load_scale
-            && other[..weights.len()] == sig[..weights.len()]
-    }) {
-        let sum: u32 = weights.iter().sum();
-        let existing_sum: u32 = existing.weights.iter().sum();
-        if margin > existing.margin + f64::EPSILON
-            || (margin >= existing.margin - f64::EPSILON && sum < existing_sum)
-        {
-            existing.weights.copy_from_slice(weights);
-            existing.margin = margin;
-            existing.predicted.copy_from_slice(preds);
+
+    /// Whether offering a point at `margin` is certain to change
+    /// nothing. On a full list a point below the worst margin by more
+    /// than `f64::EPSILON` can neither displace the worst candidate nor
+    /// replace a same-shape one (both need a margin at least the
+    /// candidate's minus `f64::EPSILON`), so its shape is never needed.
+    fn rejects(&self, margin: f64) -> bool {
+        self.top == 0 || (self.candidates.len() >= self.top && margin < self.worst.1 - f64::EPSILON)
+    }
+
+    fn offer(
+        &mut self,
+        ctx: ShapeCtx,
+        weights: &[u32],
+        load_scale: f64,
+        margin: f64,
+        preds: &[Prediction],
+    ) {
+        if self.rejects(margin) {
+            return;
         }
-        return;
+        let n = weights.len();
+        let mut sig = [0u32; MAX_MASTERS];
+        shape(ctx, weights, &mut sig);
+        // Same shape in the same (burst, scale) cell: keep the best
+        // margin, and at equal margin the smallest ticket sum (the
+        // cheapest wheel).
+        if let Some(k) = (0..self.candidates.len()).find(|&k| {
+            let c = &self.candidates[k];
+            c.burst == ctx.burst && c.load_scale == load_scale && self.shapes[k][..n] == sig[..n]
+        }) {
+            let existing = &mut self.candidates[k];
+            let sum: u32 = weights.iter().sum();
+            let existing_sum: u32 = existing.weights.iter().sum();
+            if margin > existing.margin + f64::EPSILON
+                || (margin >= existing.margin - f64::EPSILON && sum < existing_sum)
+            {
+                existing.weights.copy_from_slice(weights);
+                existing.margin = margin;
+                existing.predicted.copy_from_slice(preds);
+                self.update_worst();
+            }
+            return;
+        }
+        if self.candidates.len() >= self.top {
+            let (worst_idx, worst) = self.worst;
+            if margin <= worst {
+                return;
+            }
+            self.candidates.swap_remove(worst_idx);
+            self.shapes.swap_remove(worst_idx);
+        }
+        self.candidates.push(Candidate {
+            weights: weights.to_vec(),
+            burst: ctx.burst,
+            load_scale,
+            margin,
+            predicted: preds.to_vec(),
+        });
+        self.shapes.push(sig);
+        self.update_worst();
     }
-    if shortlist.len() >= top {
-        let (worst_idx, worst) = shortlist
+
+    /// Offers the points of a cell in which every point predicts
+    /// `preds` at `margin`, in odometer order, stopping as soon as no
+    /// later point can change the list.
+    ///
+    /// The shape classes of lottery, DRR and round-robin each contain a
+    /// componentwise-smallest vector (the primitive ticket ratio, the
+    /// smallest tickets reaching each clamped quantum, all ones), and
+    /// the odometer reaches it before any other member. So the first
+    /// member of a class this walk offers is its smallest ticket sum,
+    /// and no later member at the same margin replaces it. A walk that
+    /// checks "full and `margin ≤ worst`" before each offer therefore
+    /// inserts every new class it meets, and once that check holds it
+    /// stays true (the worst margin of a full list never falls) and
+    /// every later point would be turned away. Round-robin has a single
+    /// class, so its walk ends after the first point. An entry left by
+    /// an earlier cell with the same (burst, load scale) — a repeated
+    /// burst or scale in the space — voids the argument; such a cell
+    /// offers every point.
+    fn walk_uniform_cell(
+        &mut self,
+        ctx: ShapeCtx,
+        n: usize,
+        max_tickets: u32,
+        load_scale: f64,
+        margin: f64,
+        preds: &[Prediction],
+    ) {
+        let fresh =
+            !self.candidates.iter().any(|c| c.burst == ctx.burst && c.load_scale == load_scale);
+        let one_class = ctx.protocol == Protocol::RoundRobin;
+        let mut weights = [1u32; MAX_MASTERS];
+        loop {
+            let settled = self.candidates.len() >= self.top && margin <= self.worst.1;
+            if self.rejects(margin) || (fresh && settled) {
+                return;
+            }
+            self.offer(ctx, &weights[..n], load_scale, margin, preds);
+            if (fresh && one_class) || !advance(&mut weights[..n], max_tickets) {
+                return;
+            }
+        }
+    }
+
+    fn update_worst(&mut self) {
+        self.worst = self
+            .candidates
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.margin.partial_cmp(&b.1.margin).expect("finite"))
-            .expect("non-empty");
-        if margin <= worst.margin {
-            return;
-        }
-        shortlist.swap_remove(worst_idx);
+            .map_or((0, f64::INFINITY), |(i, c)| (i, c.margin));
     }
-    shortlist.push(Candidate {
-        weights: weights.to_vec(),
-        burst,
-        load_scale,
-        margin,
-        predicted: preds.to_vec(),
-    });
 }
 
 #[cfg(test)]

@@ -383,12 +383,16 @@ pub fn run_search_command(args: &[String]) -> Result<(String, bool), CommandErro
     let report = search(&space, &sla_targets, parsed.top).map_err(CommandError::Failure)?;
     let scan_wall = start.elapsed().as_secs_f64();
     eprintln!(
-        "scanned {} design points in {:.3}s ({:.0} points/s): {} feasible, {} short-listed",
+        "scanned {} design points in {:.3}s ({:.0} points/s): {} feasible, {} short-listed; \
+         {} full evaluations, {} reused, {} weight-free cells",
         report.scanned,
         scan_wall,
         report.scanned as f64 / scan_wall.max(f64::MIN_POSITIVE),
         report.feasible,
         report.candidates.len(),
+        report.evaluated,
+        report.scanned - report.evaluated,
+        report.weight_free_cells,
     );
 
     let outcomes = confirm_outcomes(&sc, &report.candidates, parsed.confirm, parsed.kernel)

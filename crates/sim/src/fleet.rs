@@ -580,7 +580,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             }
         }
         let arbiter_horizon = match self.lowered[lane] {
-            Some((kernel, slot)) => self.kernels[kernel as usize].next_event_slot(slot as usize, now),
+            Some((kernel, slot)) => {
+                self.kernels[kernel as usize].next_event_slot(slot as usize, now)
+            }
             None => self.arbiters[lane].next_event(now),
         };
         fold_horizon(horizon, arbiter_horizon, now)
@@ -594,7 +596,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
         self.traces[lane].record_idle_span(now, delta);
         match self.lowered[lane] {
-            Some((kernel, slot)) => self.kernels[kernel as usize].skip_idle_slot(slot as usize, delta),
+            Some((kernel, slot)) => {
+                self.kernels[kernel as usize].skip_idle_slot(slot as usize, delta)
+            }
             None => self.arbiters[lane].skip_idle(delta),
         }
         self.stats[lane].record_cycles(delta);
@@ -769,9 +773,11 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 self.stats[lane].record_contended_arbitration();
             }
             let decision = match self.lowered[lane] {
-                Some((kernel, slot)) => {
-                    self.kernels[kernel as usize].arbitrate_slot(slot as usize, &self.scratch, cursor)
-                }
+                Some((kernel, slot)) => self.kernels[kernel as usize].arbitrate_slot(
+                    slot as usize,
+                    &self.scratch,
+                    cursor,
+                ),
                 None => self.arbiters[lane].arbitrate(&self.scratch, cursor),
             };
             let Some(grant) = decision else {
@@ -779,7 +785,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 // polls are no-ops and tracing is off on this path. Hand
                 // the (rare) idle lane back to the horizon machinery.
                 consumed_total += 1;
-                cursor = cursor + 1;
+                cursor += 1;
                 break;
             };
             debug_assert!(
@@ -791,8 +797,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             debug_assert!(grant.max_words > 0, "arbiter granted zero words");
             let winner = grant.master;
             let port = &mut self.ports[lo + winner.index()];
-            let words =
-                grant.max_words.min(self.configs[lane].max_burst).min(port.pending_words());
+            let words = grant.max_words.min(self.configs[lane].max_burst).min(port.pending_words());
             self.stats[lane].record_grant(winner);
             port.note_grant(cursor);
             // A zero-stall lane (no arbitration overhead, every slave at
@@ -836,7 +841,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             };
             debug_assert!(consumed > 0, "fused arbitration must consume cycles");
             consumed_total += consumed;
-            cursor = cursor + consumed;
+            cursor += consumed;
             if cursor >= limit || self.stall_left[lane] > 0 || self.words_left[lane] > 0 {
                 // Window exhausted (possibly mid-tenure, which the busy
                 // path resumes next window).
@@ -1358,8 +1363,11 @@ mod tests {
     /// `shape`'s lane with trace and metrics off — the configuration
     /// under which `fast_arbitrate_lane` is legal (`fast_ok`).
     fn untraced_lane_for(shape: &LaneShape) -> LaneBuilder<FixedOrderArbiter, TestSource> {
-        let mut lane = LaneBuilder::new(BusConfig::default())
-            .slave(Slave::with_wait_states(SlaveId::new(0), "s0", shape.wait_states));
+        let mut lane = LaneBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
+            SlaveId::new(0),
+            "s0",
+            shape.wait_states,
+        ));
         for m in 0..shape.masters {
             lane = lane.master(format!("m{m}"), source_for(shape, m));
         }
@@ -1368,8 +1376,11 @@ mod tests {
 
     /// The scalar twin of [`untraced_lane_for`].
     fn untraced_scalar_for(shape: &LaneShape) -> System<FixedOrderArbiter, TestSource> {
-        let mut builder = SystemBuilder::new(BusConfig::default())
-            .slave(Slave::with_wait_states(SlaveId::new(0), "s0", shape.wait_states));
+        let mut builder = SystemBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
+            SlaveId::new(0),
+            "s0",
+            shape.wait_states,
+        ));
         for m in 0..shape.masters {
             builder = builder.master(format!("m{m}"), source_for(shape, m));
         }
@@ -1390,8 +1401,7 @@ mod tests {
                 wait_states,
                 metrics: None,
             };
-            let mut fleet =
-                Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
+            let mut fleet = Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
             assert!(fleet.fast_ok[0], "untraced, metric-less lane must qualify for fusing");
             assert_eq!(fleet.zero_stall[0], wait_states == 0);
             let mut scalar = untraced_scalar_for(&shape);

@@ -3,9 +3,12 @@
 
 Compares the fresh report (e.g. BENCH_PR4.json) against a committed
 baseline (e.g. BENCH_PR3.json) and prints a verdict per metric. The
-check is *soft*: CI wall-clock numbers are noisy, so regressions are
-reported as warnings and the script always exits 0. The hard gates
-(byte-identity of result documents) live in the suite binary itself.
+check is *soft* for measurements: CI wall-clock numbers are noisy, so
+regressions are reported as warnings. Deterministic facts are hard: the
+analytic search probe must scan exactly 1,048,576 points, short-list 8
+candidates and find the baseline's feasible count, or the script exits
+1. The other hard gates (byte-identity of result documents) live in the
+suite binary itself.
 
 Usage: bench_regression.py CURRENT.json BASELINE.json
 """
@@ -79,9 +82,13 @@ ANALYTIC_MAX_SHARE_ABS_ERROR = 0.02
 ANALYTIC_MEAN_SHARE_ABS_ERROR = 0.02
 ANALYTIC_MAX_LATENCY_REL_ERROR = 1.0
 ANALYTIC_MEAN_LATENCY_REL_ERROR = 0.40
-# The search probe must cover at least a million design points...
-ANALYTIC_MIN_SEARCH_POINTS = 1_000_000
-# ...inside the PR-8 acceptance wall-clock bound (measured ~0.1s).
+# The search probe's deterministic facts (hard): four masters x tickets
+# 1..=32 is exactly 2^20 points, and its short list is full. Its
+# feasible count must equal the baseline's.
+ANALYTIC_SEARCH_POINTS = 1_048_576
+ANALYTIC_SEARCH_SHORTLISTED = 8
+# The scan's wall clock stays informational: a warning above the PR-8
+# acceptance bound (measured ~0.1s).
 ANALYTIC_MAX_SEARCH_WALL_SECS = 5.0
 # The validation grid must keep comparing a healthy number of cells —
 # a shrinking grid would hollow the error ceilings out silently.
@@ -136,8 +143,12 @@ def check_tlm(tlm, warn):
             print(f"ok: tlm {key} {value:.4f} <= {ceiling:.2f}")
 
 
-def check_analytic(analytic, warn):
-    """Gate the analytic model's validation-grid error and search probe."""
+def check_analytic(analytic, baseline_analytic, warn, fail):
+    """Gate the analytic model's validation-grid error and search probe.
+
+    The probe's point, feasible and short-list counts are deterministic,
+    so a mismatch is a hard failure, not a noise warning.
+    """
     validation = analytic.get("validation", {})
     for key, ceiling in (
         ("share_max_abs_error", ANALYTIC_MAX_SHARE_ABS_ERROR),
@@ -167,15 +178,23 @@ def check_analytic(analytic, warn):
     search = analytic.get("search", {})
     points = search.get("points")
     wall = search.get("wall_secs")
+    feasible = search.get("feasible")
+    baseline_feasible = ((baseline_analytic or {}).get("search") or {}).get("feasible")
+    for key, value, want in (
+        ("points", points, ANALYTIC_SEARCH_POINTS),
+        ("shortlisted", search.get("shortlisted"), ANALYTIC_SEARCH_SHORTLISTED),
+        ("feasible", feasible, baseline_feasible),
+    ):
+        if want is None:
+            print(f"info: analytic search {key} {value} (no baseline)")
+        elif value != want:
+            fail(f"analytic search {key} is {value}, want exactly {want}")
+        else:
+            print(f"ok: analytic search {key} {value} (exact)")
     if points is None or wall is None:
         warn("analytic.search lacks points/wall_secs")
         return
-    if points < ANALYTIC_MIN_SEARCH_POINTS:
-        warn(
-            f"analytic search scanned {points} points "
-            f"(floor {ANALYTIC_MIN_SEARCH_POINTS})"
-        )
-    elif wall > ANALYTIC_MAX_SEARCH_WALL_SECS:
+    if wall > ANALYTIC_MAX_SEARCH_WALL_SECS:
         warn(
             f"analytic search took {wall:.3f}s for {points} points "
             f"(ceiling {ANALYTIC_MAX_SEARCH_WALL_SECS:.1f}s)"
@@ -281,11 +300,17 @@ def main(argv):
         baseline = None
 
     warnings = 0
+    failures = 0
 
     def warn(message):
         nonlocal warnings
         warnings += 1
         print(f"WARNING: {message}")
+
+    def fail(message):
+        nonlocal failures
+        failures += 1
+        print(f"FAIL: {message}")
 
     if baseline is not None:
         for key in (
@@ -352,7 +377,7 @@ def main(argv):
         # no analytic section; only warn for fresh reports that should.
         print("note: report has no analytic section (pre-PR8 format)")
     else:
-        check_analytic(analytic, warn)
+        check_analytic(analytic, (baseline or {}).get("analytic"), warn, fail)
 
     fleet = current.get("fleet")
     if fleet is None:
@@ -390,6 +415,9 @@ def main(argv):
             else:
                 print(f"ok: hot {name} {was / 1e6:.2f}M -> {now / 1e6:.2f}M cycles/s")
 
+    if failures:
+        print(f"{failures} hard failure(s), {warnings} warning(s); exiting 1")
+        return 1
     if warnings:
         print(f"{warnings} warning(s); soft check, exiting 0")
     else:
