@@ -73,27 +73,6 @@ impl DeficitRoundRobinArbiter {
     pub fn quantum(&self, master: MasterId) -> u32 {
         self.quanta[master.index()]
     }
-
-    /// All per-visit quanta in master order.
-    pub(crate) fn quanta(&self) -> &[u32] {
-        &self.quanta
-    }
-
-    /// The per-master deficit counters.
-    pub(crate) fn deficit(&self) -> &[u32] {
-        &self.deficit
-    }
-
-    /// The round-robin visit pointer.
-    pub(crate) fn next(&self) -> usize {
-        self.next
-    }
-
-    /// Overwrites the mutable state (SoA kernel writeback).
-    pub(crate) fn set_state(&mut self, deficit: &[u32], next: usize) {
-        self.deficit.copy_from_slice(deficit);
-        self.next = next;
-    }
 }
 
 impl Arbiter for DeficitRoundRobinArbiter {

@@ -28,16 +28,12 @@
 use crate::deficit_rr::DeficitRoundRobinArbiter;
 use crate::failover::FailoverArbiter;
 use crate::round_robin::RoundRobinArbiter;
-use crate::soa::{
-    SoaDeficitRoundRobin, SoaDynamicLottery, SoaRoundRobin, SoaStaticLottery, SoaStaticPriority,
-    SoaTdma,
-};
 use crate::static_priority::StaticPriorityArbiter;
 use crate::tdma::TdmaArbiter;
 use crate::token_ring::TokenRingArbiter;
 use lotterybus::{DynamicLotteryArbiter, StaticLotteryArbiter};
 use socsim::arbiter::FixedOrderArbiter;
-use socsim::{Arbiter, Cycle, Grant, RequestMap, SoaKernel};
+use socsim::{Arbiter, Cycle, Grant, RequestMap, WheelWalk};
 use std::fmt;
 
 /// A closed enum over every built-in protocol, plus an open escape
@@ -120,101 +116,14 @@ impl Arbiter for ArbiterKind {
         for_each_kind!(self, inner => inner.skip_idle(delta))
     }
 
-    /// Grouping key for fleet SoA lowering: protocol variant plus master
-    /// count. Protocols whose decision depends on hidden mutable inputs
-    /// the kernel cannot replicate (attached ticket policies,
-    /// compensation boosts, failover wrappers, arbitrary custom code)
-    /// stay scalar by returning `None`.
-    fn soa_signature(&self) -> Option<u64> {
-        let (variant, masters) = match self {
-            ArbiterKind::StaticPriority(a) => (1u64, a.masters()),
-            ArbiterKind::RoundRobin(a) => (2, a.masters()),
-            ArbiterKind::DeficitRoundRobin(a) => (3, a.quanta().len()),
-            ArbiterKind::Tdma(a) => (4, a.masters()),
-            ArbiterKind::StaticLottery(a) => (5, a.tickets().masters()),
-            // Only frozen managers are pure functions of
-            // (tickets, requests, draw state) — see
-            // [`DynamicLotteryArbiter::is_frozen`].
-            ArbiterKind::DynamicLottery(a) if a.is_frozen() => (6, a.tickets().len()),
-            _ => return None,
-        };
-        Some((variant << 8) | masters as u64)
+    #[inline]
+    fn wheel_walk(&self) -> Option<WheelWalk<'_>> {
+        for_each_kind!(self, inner => inner.wheel_walk())
     }
 
-    fn lower_group(peers: &[&Self]) -> Option<Box<dyn SoaKernel>> {
-        /// Collects every peer's concrete arbiter, or `None` on any
-        /// variant mismatch (unreachable for same-signature groups, but
-        /// falling back to scalar is always safe).
-        macro_rules! collect {
-            ($variant:ident) => {{
-                let peers: Option<Vec<_>> = peers
-                    .iter()
-                    .map(|p| match p {
-                        ArbiterKind::$variant(a) => Some(a),
-                        _ => None,
-                    })
-                    .collect();
-                peers?
-            }};
-        }
-        match peers.first()? {
-            ArbiterKind::StaticPriority(_) => {
-                Some(Box::new(SoaStaticPriority::lower(&collect!(StaticPriority))))
-            }
-            ArbiterKind::RoundRobin(_) => {
-                Some(Box::new(SoaRoundRobin::lower(&collect!(RoundRobin))))
-            }
-            ArbiterKind::DeficitRoundRobin(_) => {
-                Some(Box::new(SoaDeficitRoundRobin::lower(&collect!(DeficitRoundRobin))))
-            }
-            ArbiterKind::Tdma(_) => Some(Box::new(SoaTdma::lower(&collect!(Tdma)))),
-            ArbiterKind::StaticLottery(_) => SoaStaticLottery::lower(&collect!(StaticLottery))
-                .map(|k| Box::new(k) as Box<dyn SoaKernel>),
-            ArbiterKind::DynamicLottery(_) => SoaDynamicLottery::lower(&collect!(DynamicLottery))
-                .map(|k| Box::new(k) as Box<dyn SoaKernel>),
-            _ => None,
-        }
-    }
-
-    /// Copies slot `slot`'s lowered state back into the scalar arbiter
-    /// so probes and runtime knobs observe exactly what scalar
-    /// execution would have produced.
-    fn writeback_from(&mut self, kernel: &dyn SoaKernel, slot: usize) {
-        let any = kernel.as_any();
-        match self {
-            ArbiterKind::RoundRobin(a) => {
-                if let Some(k) = any.downcast_ref::<SoaRoundRobin>() {
-                    a.set_last(k.slot_last(slot));
-                }
-            }
-            ArbiterKind::DeficitRoundRobin(a) => {
-                if let Some(k) = any.downcast_ref::<SoaDeficitRoundRobin>() {
-                    a.set_state(k.slot_deficit(slot), k.slot_next(slot));
-                }
-            }
-            ArbiterKind::Tdma(a) => {
-                if let Some(k) = any.downcast_ref::<SoaTdma>() {
-                    a.set_position(k.slot_position(slot));
-                    a.set_rr(k.slot_rr(slot));
-                }
-            }
-            ArbiterKind::StaticLottery(a) => {
-                if let Some(k) = any.downcast_ref::<SoaStaticLottery>() {
-                    if let Some(source) = k.slot_source(slot).clone_builtin() {
-                        a.set_random_source(source);
-                    }
-                }
-            }
-            ArbiterKind::DynamicLottery(a) => {
-                if let Some(k) = any.downcast_ref::<SoaDynamicLottery>() {
-                    if let Some(source) = k.slot_source(slot).clone_builtin() {
-                        a.set_source_kind(source);
-                    }
-                }
-            }
-            // Static priority is stateless; the rest never lower.
-            _ => {}
-        }
+    #[inline]
+    fn advance_wheel(&mut self, cycles: u64) {
+        for_each_kind!(self, inner => inner.advance_wheel(cycles))
     }
 }
 

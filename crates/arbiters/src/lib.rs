@@ -51,7 +51,6 @@ pub mod failover;
 pub mod instrument;
 pub mod kind;
 pub mod round_robin;
-pub mod soa;
 pub mod static_priority;
 pub mod tdma;
 pub mod token_ring;
@@ -62,10 +61,6 @@ pub use failover::FailoverArbiter;
 pub use instrument::{ArbiterCounters, InstrumentedArbiter};
 pub use kind::ArbiterKind;
 pub use round_robin::RoundRobinArbiter;
-pub use soa::{
-    SoaDeficitRoundRobin, SoaDynamicLottery, SoaRoundRobin, SoaStaticLottery, SoaStaticPriority,
-    SoaTdma,
-};
 pub use static_priority::StaticPriorityArbiter;
 pub use tdma::{TdmaArbiter, WheelLayout};
 pub use token_ring::TokenRingArbiter;

@@ -49,16 +49,6 @@ impl RoundRobinArbiter {
     }
 
     /// Number of masters this arbiter serves.
-    /// The rotation pointer (index of the most recently granted master).
-    pub(crate) fn last(&self) -> usize {
-        self.last
-    }
-
-    /// Overwrites the rotation pointer (SoA kernel writeback).
-    pub(crate) fn set_last(&mut self, last: usize) {
-        self.last = last;
-    }
-
     pub fn masters(&self) -> usize {
         self.masters
     }

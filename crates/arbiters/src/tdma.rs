@@ -1,7 +1,7 @@
 //! The two-level TDMA shared bus (paper §2.2, Figure 2).
 
 use crate::error::ArbiterConfigError;
-use socsim::{Arbiter, Cycle, Grant, MasterId, RequestMap, MAX_MASTERS};
+use socsim::{Arbiter, Cycle, Grant, MasterId, RequestMap, WheelWalk, MAX_MASTERS};
 
 /// How reserved slots for each master are arranged around the timing
 /// wheel.
@@ -46,6 +46,11 @@ pub enum WheelLayout {
 #[derive(Debug, Clone)]
 pub struct TdmaArbiter {
     wheel: Vec<MasterId>,
+    /// Wheel indices grouped by owner, ascending within each group:
+    /// master `m` owns `slots[starts[m]..starts[m + 1]]`. The tables the
+    /// event kernel's arithmetic wheel walk reads.
+    slots: Vec<u32>,
+    starts: Vec<u32>,
     masters: usize,
     position: usize,
     rr: usize,
@@ -91,17 +96,28 @@ impl TdmaArbiter {
         if wheel.is_empty() {
             return Err(ArbiterConfigError::EmptyWheel);
         }
-        let mut served = vec![false; masters];
+        // `starts[m + 1]` counts master `m`'s slots, then the prefix sum
+        // turns the counts into group boundaries.
+        let mut starts = vec![0u32; masters + 1];
         for slot in &wheel {
             if slot.index() >= masters {
                 return Err(ArbiterConfigError::SlotOutOfRange { master: slot.index(), masters });
             }
-            served[slot.index()] = true;
+            starts[slot.index() + 1] += 1;
         }
-        if let Some(idle) = served.iter().position(|&s| !s) {
+        if let Some(idle) = starts[1..].iter().position(|&count| count == 0) {
             return Err(ArbiterConfigError::UnservedMaster(idle));
         }
-        Ok(TdmaArbiter { wheel, masters, position: 0, rr: masters - 1 })
+        for m in 0..masters {
+            starts[m + 1] += starts[m];
+        }
+        let mut slots = vec![0u32; wheel.len()];
+        let mut fill = starts.clone();
+        for (i, owner) in wheel.iter().enumerate() {
+            slots[fill[owner.index()] as usize] = i as u32;
+            fill[owner.index()] += 1;
+        }
+        Ok(TdmaArbiter { wheel, slots, starts, masters, position: 0, rr: masters - 1 })
     }
 
     /// The timing wheel (slot owners in rotation order).
@@ -123,21 +139,6 @@ impl TdmaArbiter {
     pub fn set_position(&mut self, position: usize) {
         assert!(position < self.wheel.len(), "wheel position out of range");
         self.position = position;
-    }
-
-    /// The number of masters the wheel serves.
-    pub(crate) fn masters(&self) -> usize {
-        self.masters
-    }
-
-    /// The slot-reclaim round-robin pointer.
-    pub(crate) fn rr(&self) -> usize {
-        self.rr
-    }
-
-    /// Overwrites the reclaim pointer (SoA kernel writeback).
-    pub(crate) fn set_rr(&mut self, rr: usize) {
-        self.rr = rr;
     }
 }
 
@@ -208,6 +209,18 @@ impl Arbiter for TdmaArbiter {
     fn skip_idle(&mut self, delta: u64) {
         self.position =
             (self.position + (delta % self.wheel.len() as u64) as usize) % self.wheel.len();
+    }
+
+    /// While every master is pending the slot owner is always served:
+    /// the grants follow the wheel from the current position.
+    fn wheel_walk(&self) -> Option<WheelWalk<'_>> {
+        Some(WheelWalk::new(self.position, self.wheel.len(), &self.slots, &self.starts))
+    }
+
+    /// Each all-pending decision turns the wheel once and never moves
+    /// the reclaim pointer — exactly an idle rotation.
+    fn advance_wheel(&mut self, cycles: u64) {
+        self.skip_idle(cycles);
     }
 }
 

@@ -71,13 +71,14 @@
 //! ## Kernel selection (optional)
 //!
 //! ```text
-//! kernel = fast                   # fast | cycle (default cycle)
+//! kernel = event                  # event | cycle (default cycle)
 //! ```
 //!
-//! `kernel = fast` runs the event-driven fast-forward kernel, which
-//! skips provably idle spans instead of stepping them cycle by cycle.
-//! Both kernels produce byte-identical reports (and traces and
-//! waveforms); only wall-clock time changes.
+//! `kernel = event` runs the exact event kernel, which replaces idle
+//! spans and bus tenures with batched arithmetic instead of stepping
+//! them cycle by cycle (`fast` and `tlm` are accepted as older spellings
+//! of `event`). Both kernels produce byte-identical reports (and traces
+//! and waveforms); only wall-clock time changes.
 //!
 //! ## Scenarios & fuzzing
 //!
@@ -86,7 +87,7 @@
 //!
 //! ```console
 //! $ lotterybus-sim scenario scenarios/                 # run the library
-//! $ lotterybus-sim scenario a.scenario --kernel fast
+//! $ lotterybus-sim scenario a.scenario --kernel event
 //! $ lotterybus-sim fuzz --seed 7 --iters 50 --out tmp/
 //! ```
 //!
@@ -118,4 +119,4 @@ pub mod search_cmd;
 pub mod spec;
 
 pub use report::{render_metrics, render_report};
-pub use spec::{ArbiterKind, KernelKind, MasterSpec, ParseSpecError, SimSpec, TraceSinkSpec};
+pub use spec::{ArbiterKind, MasterSpec, ParseSpecError, SimSpec, TraceSinkSpec};

@@ -25,9 +25,9 @@ use std::time::Instant;
 
 const USAGE: &str = "\
 usage: lotterybus-sim <spec-file | -> [--vcd <file>] [--jobs <n>]
-       lotterybus-sim scenario <files-or-dirs>... [--kernel cycle|fast|tlm] [--jobs <n>] [--bench <file>] [--fleet]
+       lotterybus-sim scenario <files-or-dirs>... [--kernel cycle|event] [--jobs <n>] [--bench <file>]
        lotterybus-sim fuzz [--seed <n>] [--iters <n>] [--out <dir>] [--demo-failure]
-       lotterybus-sim search <file.scenario> [--points <n>] [--top <k>] [--confirm <k>] [--kernel cycle|fast|tlm] [--bursts <a,b>] [--load-scales <x,y>] [--max-tickets <n>]
+       lotterybus-sim search <file.scenario> [--points <n>] [--top <k>] [--confirm <k>] [--kernel cycle|event] [--bursts <a,b>] [--load-scales <x,y>] [--max-tickets <n>]
        lotterybus-sim --example";
 
 const EXAMPLE_SPEC: &str = "\
@@ -58,11 +58,9 @@ master dma   weight=1 load=0.15 size=8  periodic
 # trace sink=jsonl:events.jsonl   # stream trace events as JSON lines
 # trace sink=vcd:waves.vcd        # or stream a VCD waveform
 
-# Optional kernel selection. `fast` skips provably idle spans and is
-# byte-identical to `cycle`; `tlm` also batches whole bus tenures —
-# exact for periodic/burst arrivals, a bounded approximation for
-# memoryless (poisson) ones.
-# kernel = fast                   # cycle | fast | tlm (default cycle)
+# Optional kernel selection. `event` batches idle gaps and bus
+# tenures with exact arithmetic and is byte-identical to `cycle`.
+# kernel = event                  # cycle | event (default cycle)
 ";
 
 fn main() -> ExitCode {
@@ -194,7 +192,7 @@ fn simulate(spec: &SimSpec, vcd: Option<&str>) -> Result<SimOutcome, String> {
         builder = builder.trace_capacity(3 * spec.cycles as usize);
     }
     let mut system = builder
-        .kernel(spec.kernel.to_kernel())
+        .kernel(spec.kernel)
         .arbiter(spec.build_arbiter().map_err(|e| e.to_string())?)
         .build()
         .map_err(|e| e.to_string())?;
@@ -329,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_kernel_report_is_byte_identical() {
+    fn event_kernel_report_is_byte_identical() {
         let base = "arbiter = lottery\ncycles = 5000\nwarmup = 500\nmetrics window=500\n\
                     master cpu weight=3 load=0.2 size=16 periodic\n\
                     master dma weight=1 load=0.1 size=8 periodic\n";
@@ -342,23 +340,24 @@ mod tests {
             }
             report
         };
-        assert_eq!(render("cycle"), render("fast"), "kernels must render identically");
-        assert_eq!(render("cycle"), render("tlm"), "tlm is exact for periodic arrivals");
+        assert_eq!(render("cycle"), render("event"), "kernels must render identically");
+        assert_eq!(render("cycle"), render("tlm"), "`tlm` spells the event kernel");
     }
 
     #[test]
-    fn tlm_kernel_report_is_byte_identical_without_metrics() {
-        // Without a metrics window the TLM kernel actually batches
-        // tenures (metrics force the exact fallback); periodic
-        // arrivals keep it byte-exact regardless.
+    fn event_kernel_report_is_byte_identical_without_metrics() {
+        // Without a metrics window the event kernel batches tenures
+        // (metrics keep it to the idle skip); it stays byte-exact for
+        // memoryless arrivals too.
         let base = "arbiter = lottery\ncycles = 5000\nwarmup = 500\n\
                     master cpu weight=3 load=0.2 size=16 periodic\n\
+                    master dsp weight=2 load=0.6 size=16\n\
                     master dma weight=1 load=0.1 size=8 periodic\n";
         let render = |kernel: &str| -> String {
             let spec = SimSpec::parse(&format!("kernel = {kernel}\n{base}")).expect("valid spec");
             render_report(&spec, &simulate(&spec, None).expect("runs").stats)
         };
-        assert_eq!(render("cycle"), render("tlm"), "tlm must render identically");
+        assert_eq!(render("cycle"), render("event"), "the event kernel must render identically");
     }
 
     #[test]

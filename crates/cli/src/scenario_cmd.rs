@@ -5,7 +5,7 @@
 //! entries), executes them as one dependency plan, and prints the
 //! verdict JSON on stdout. The JSON is deterministic and contains no
 //! kernel or wall-clock information, so CI diffs a `--kernel cycle`
-//! run against a `--kernel fast` run byte for byte. Exit status is
+//! run against a `--kernel event` run byte for byte. Exit status is
 //! success iff every scenario's verdict matched its `expect` line.
 //!
 //! `lotterybus-sim fuzz` runs the seeded scenario fuzzer and prints
@@ -46,27 +46,19 @@ pub struct ScenarioArgs {
     pub jobs: usize,
     /// Write a wall-clock bench report to this file.
     pub bench: Option<String>,
-    /// Pack each plan level into one lockstep fleet (lane-exact, so
-    /// output is byte-identical to the default path).
-    pub fleet: bool,
 }
 
 /// Parses the arguments after `scenario`.
 pub fn parse_scenario_args(args: &[String]) -> Result<ScenarioArgs, String> {
-    let mut parsed = ScenarioArgs {
-        paths: Vec::new(),
-        kernel: Kernel::Cycle,
-        jobs: 0,
-        bench: None,
-        fleet: false,
-    };
+    let mut parsed =
+        ScenarioArgs { paths: Vec::new(), kernel: Kernel::Cycle, jobs: 0, bench: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--kernel" => {
                 let word = it.next().map(String::as_str).unwrap_or("nothing");
                 parsed.kernel = Kernel::parse(word)
-                    .ok_or(format!("`--kernel` must be `cycle`, `fast`, or `tlm`, got {word:?}"))?;
+                    .ok_or(format!("`--kernel` must be `cycle` or `event`, got {word:?}"))?;
             }
             "--jobs" => {
                 parsed.jobs =
@@ -75,10 +67,9 @@ pub fn parse_scenario_args(args: &[String]) -> Result<ScenarioArgs, String> {
             "--bench" => {
                 parsed.bench = Some(it.next().ok_or("`--bench` requires a file argument")?.clone());
             }
-            "--fleet" => parsed.fleet = true,
             flag if flag.starts_with("--") => {
                 return Err(format!(
-                    "unknown scenario flag `{flag}`: expected --kernel, --jobs, --bench or --fleet"
+                    "unknown scenario flag `{flag}`: expected --kernel, --jobs or --bench"
                 ))
             }
             path => parsed.paths.push(path.to_owned()),
@@ -133,11 +124,8 @@ pub fn run_scenario_command(args: &[String]) -> Result<(String, bool), CommandEr
     let parsed = parse_scenario_args(args).map_err(CommandError::Usage)?;
     let files = collect_scenario_files(&parsed.paths).map_err(CommandError::Failure)?;
     let scenarios = load_scenarios(&files).map_err(CommandError::Failure)?;
-    let report = if parsed.fleet {
-        scenario::run_plan_fleet(&scenarios).map_err(CommandError::Failure)?
-    } else {
-        scenario::run_plan(&scenarios, parsed.kernel, parsed.jobs).map_err(CommandError::Failure)?
-    };
+    let report = scenario::run_plan(&scenarios, parsed.kernel, parsed.jobs)
+        .map_err(CommandError::Failure)?;
     if let Some(bench_path) = &parsed.bench {
         write_bench(bench_path, &scenarios, &report, parsed.kernel)
             .map_err(CommandError::Failure)?;
@@ -146,7 +134,7 @@ pub fn run_scenario_command(args: &[String]) -> Result<(String, bool), CommandEr
     eprintln!(
         "ran {} scenario(s) under the {} kernel: {}",
         scenarios.len(),
-        if parsed.fleet { "fleet-packed cycle" } else { parsed.kernel.name() },
+        parsed.kernel.name(),
         if ok { "all as expected" } else { "unexpected verdicts" },
     );
     Ok((report.to_json().render() + "\n", ok))
@@ -283,24 +271,24 @@ mod tests {
             parsed,
             ScenarioArgs {
                 paths: vec!["scenarios".into()],
-                kernel: Kernel::Fast,
+                kernel: Kernel::Event,
                 jobs: 2,
                 bench: Some("b.json".into()),
-                fleet: false,
             }
         );
-        let parsed = parse_scenario_args(&args(&["scenarios", "--kernel", "tlm"])).expect("valid");
-        assert_eq!(parsed.kernel, Kernel::Tlm);
+        for word in ["event", "tlm"] {
+            let parsed =
+                parse_scenario_args(&args(&["scenarios", "--kernel", word])).expect("valid");
+            assert_eq!(parsed.kernel, Kernel::Event, "{word}");
+        }
         let parsed = parse_scenario_args(&args(&["scenarios"])).expect("valid");
         assert_eq!(parsed.kernel, Kernel::Cycle, "default is the reference kernel");
-        let parsed = parse_scenario_args(&args(&["scenarios", "--fleet"])).expect("valid");
-        assert!(parsed.fleet, "--fleet switches to the packed executor");
     }
 
     #[test]
     fn scenario_flag_errors_are_actionable() {
         let e = parse_scenario_args(&args(&["dir", "--kernel", "warp"])).unwrap_err();
-        assert!(e.contains("cycle") && e.contains("fast") && e.contains("tlm"), "{e}");
+        assert!(e.contains("cycle") && e.contains("event"), "{e}");
         let e = parse_scenario_args(&args(&["dir", "--frobnicate"])).unwrap_err();
         assert!(e.contains("--frobnicate") && e.contains("--bench"), "{e}");
         let e = parse_scenario_args(&args(&[])).unwrap_err();
@@ -311,7 +299,7 @@ mod tests {
     fn unknown_kernel_is_a_usage_error_not_a_panic() {
         let err = run_scenario_command(&args(&["dir", "--kernel", "warp"])).unwrap_err();
         assert!(matches!(err, CommandError::Usage(_)), "bad --kernel must be a usage error");
-        assert!(err.message().contains("tlm"), "{}", err.message());
+        assert!(err.message().contains("event"), "{}", err.message());
         // A well-formed command line that fails at runtime is not a
         // usage error.
         let err = run_scenario_command(&args(&["/nonexistent-dir-for-test"])).unwrap_err();

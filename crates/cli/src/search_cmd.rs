@@ -64,7 +64,7 @@ pub fn parse_search_args(args: &[String]) -> Result<SearchArgs, String> {
             "--kernel" => {
                 let word = it.next().map(String::as_str).unwrap_or("nothing");
                 parsed.kernel = Kernel::parse(word)
-                    .ok_or(format!("`--kernel` must be `cycle`, `fast`, or `tlm`, got {word:?}"))?;
+                    .ok_or(format!("`--kernel` must be `cycle` or `event`, got {word:?}"))?;
             }
             "--points" => {
                 parsed.points =
@@ -299,25 +299,18 @@ fn confirmation(cand: &Candidate, outcome: &Outcome) -> Confirmation {
 }
 
 /// Runs the confirmation simulations for the first `confirm`
-/// short-listed candidates. Under the cycle kernel the whole
-/// short-list is packed into one lockstep fleet
-/// ([`scenario::run_scenarios_fleet`], lane-exact, so the JSON stays
-/// byte-identical to per-candidate runs); other kernels confirm one
-/// scenario at a time.
+/// short-listed candidates, one scenario at a time under `kernel`.
 fn confirm_outcomes(
     sc: &Scenario,
     candidates: &[Candidate],
     confirm: usize,
     kernel: Kernel,
 ) -> Result<Vec<Outcome>, String> {
-    let runs: Vec<Scenario> =
-        candidates.iter().take(confirm).map(|cand| candidate_scenario(sc, cand)).collect();
-    if kernel == Kernel::Cycle {
-        let refs: Vec<&Scenario> = runs.iter().collect();
-        scenario::run_scenarios_fleet(&refs)
-    } else {
-        runs.iter().map(|candidate| run_scenario(candidate, kernel)).collect()
-    }
+    candidates
+        .iter()
+        .take(confirm)
+        .map(|cand| run_scenario(&candidate_scenario(sc, cand), kernel))
+        .collect()
 }
 
 fn candidate_json(cand: &Candidate, conf: Option<&Confirmation>) -> Json {
@@ -513,7 +506,7 @@ sla losses max=0
             parsed,
             SearchArgs {
                 path: "x.scenario".into(),
-                kernel: Kernel::Fast,
+                kernel: Kernel::Event,
                 points: 4096,
                 top: 4,
                 confirm: 2,
@@ -536,7 +529,7 @@ sla losses max=0
         let e = parse_search_args(&args(&["x", "--frobnicate"])).unwrap_err();
         assert!(e.contains("--frobnicate") && e.contains("--confirm"), "{e}");
         let e = parse_search_args(&args(&["x", "--kernel", "warp"])).unwrap_err();
-        assert!(e.contains("cycle") && e.contains("tlm"), "{e}");
+        assert!(e.contains("cycle") && e.contains("event"), "{e}");
         let e = parse_search_args(&args(&["x", "--load-scales", "0,-1"])).unwrap_err();
         assert!(e.contains("> 0"), "{e}");
         let e = parse_search_args(&args(&["x", "--bursts", "16,0"])).unwrap_err();

@@ -195,55 +195,6 @@ impl DynamicLotteryArbiter {
         Ok(())
     }
 
-    /// `true` when no policy and no compensation are attached: the
-    /// effective holdings can never change behind the caller's back, so
-    /// the decision is a pure function of `(tickets, requests, source)`.
-    /// Only frozen managers are eligible for SoA fleet lowering.
-    pub fn is_frozen(&self) -> bool {
-        self.policy.is_none() && self.compensation_quantum.is_none()
-    }
-
-    /// The draw source, register state included.
-    pub fn random_source(&self) -> &RandomSourceKind {
-        &self.source
-    }
-
-    /// The arbitration decision of a *frozen* manager taken against an
-    /// external draw source. Recomputes the partial sums directly (the
-    /// scalar path's memo cache is a pure optimization — it never alters
-    /// the draw cadence), so the grant stream is bit-identical to
-    /// [`Arbiter::arbitrate`] fed the same source.
-    ///
-    /// Debug-asserts [`DynamicLotteryArbiter::is_frozen`].
-    pub fn decide_frozen(
-        &self,
-        requests: &RequestMap,
-        source: &mut RandomSourceKind,
-    ) -> Option<Grant> {
-        debug_assert!(self.is_frozen(), "decide_frozen on a non-frozen manager");
-        if requests.is_empty() {
-            return None;
-        }
-        let n = self.tickets.len().min(MAX_MASTERS);
-        let mut cumsum = [0u64; MAX_MASTERS];
-        let mut acc = 0u64;
-        for (i, slot) in cumsum.iter_mut().enumerate().take(n) {
-            if requests.is_pending(MasterId::new(i)) {
-                acc += u64::from(self.tickets[i]);
-            }
-            *slot = acc;
-        }
-        if acc == 0 {
-            return requests.iter_pending().next().map(Grant::whole_burst);
-        }
-        let draw = u64::from(source.draw(acc as u32));
-        let winner = (0..n)
-            .map(MasterId::new)
-            .find(|&id| requests.is_pending(id) && draw < cumsum[id.index()])
-            .expect("draw below total has a winner");
-        Some(Grant::whole_burst(winner))
-    }
-
     /// Rebuilds the memoized partial sums for the current `(bits, epoch)`
     /// key. Effective holdings are materialized into a stack scratch
     /// array — the steady-state arbitration path performs no heap

@@ -55,20 +55,6 @@ impl fmt::Debug for RandomSourceKind {
     }
 }
 
-impl RandomSourceKind {
-    /// A clone of a built-in (enum-dispatched) source, register state
-    /// included; `None` for virtually-dispatched custom sources, which
-    /// cannot be duplicated. SoA fleet lowering uses this to move each
-    /// lane's draw state into a batched kernel slot.
-    pub fn clone_builtin(&self) -> Option<RandomSourceKind> {
-        match self {
-            RandomSourceKind::Lfsr(s) => Some(RandomSourceKind::Lfsr(s.clone())),
-            RandomSourceKind::StdRng(s) => Some(RandomSourceKind::StdRng(s.clone())),
-            RandomSourceKind::Custom(_) => None,
-        }
-    }
-}
-
 impl RandomSource for RandomSourceKind {
     #[inline]
     fn draw(&mut self, bound: u32) -> u32 {
@@ -216,7 +202,6 @@ impl RandomSource for LfsrSource {
 /// Software draw source backed by [`rand::rngs::StdRng`]; produces
 /// exactly uniform draws for any bound. Used in ablations to isolate the
 /// effect of LFSR-based draws.
-#[derive(Clone)]
 pub struct StdRngSource {
     rng: StdRng,
 }

@@ -145,54 +145,6 @@ impl StaticLotteryArbiter {
             })
             .collect()
     }
-
-    /// The draw source, register state included.
-    pub fn random_source(&self) -> &RandomSourceKind {
-        &self.source
-    }
-
-    /// Replaces the draw source. Used by SoA fleet lowering to write a
-    /// kernel slot's register state back into the scalar arbiter.
-    pub fn set_random_source(&mut self, source: RandomSourceKind) {
-        self.source = source;
-    }
-
-    /// The arbitration decision taken against an *external* draw
-    /// source: identical LUT walk, identical draw cadence.
-    /// [`Arbiter::arbitrate`] is exactly this with `self.source`; SoA
-    /// fleet kernels share one arbiter's LUT across many per-lane
-    /// sources.
-    pub fn decide_with(
-        &self,
-        requests: &RequestMap,
-        source: &mut RandomSourceKind,
-    ) -> Option<Grant> {
-        decide(&self.lut, requests, source)
-    }
-}
-
-/// The shared decision body: LUT row lookup, zero-ticket fallback, one
-/// draw, priority-select against the partial sums.
-fn decide(lut: &[LutEntry], requests: &RequestMap, source: &mut RandomSourceKind) -> Option<Grant> {
-    if requests.is_empty() {
-        return None;
-    }
-    let entry = &lut[requests.bits() as usize];
-    if entry.total == 0 {
-        // Only zero-ticket masters are requesting; fall back to a
-        // default grant so the bus cannot livelock. The paper assumes
-        // every master holds at least one ticket.
-        return requests.iter_pending().next().map(Grant::whole_burst);
-    }
-    let draw = u64::from(source.draw(entry.total));
-    let winner = entry
-        .cumsum
-        .iter()
-        .position(|&c| draw < u64::from(c))
-        .map(MasterId::new)
-        .expect("draw below total always selects a winner");
-    debug_assert!(requests.is_pending(winner));
-    Some(Grant::whole_burst(winner))
 }
 
 fn build_lut(tickets: &TicketAssignment) -> Vec<LutEntry> {
@@ -225,7 +177,25 @@ fn build_lut(tickets: &TicketAssignment) -> Vec<LutEntry> {
 
 impl Arbiter for StaticLotteryArbiter {
     fn arbitrate(&mut self, requests: &RequestMap, _now: Cycle) -> Option<Grant> {
-        decide(&self.lut, requests, &mut self.source)
+        if requests.is_empty() {
+            return None;
+        }
+        let entry = &self.lut[requests.bits() as usize];
+        if entry.total == 0 {
+            // Only zero-ticket masters are requesting; fall back to a
+            // default grant so the bus cannot livelock. The paper assumes
+            // every master holds at least one ticket.
+            return requests.iter_pending().next().map(Grant::whole_burst);
+        }
+        let draw = u64::from(self.source.draw(entry.total));
+        let winner = entry
+            .cumsum
+            .iter()
+            .position(|&c| draw < u64::from(c))
+            .map(MasterId::new)
+            .expect("draw below total always selects a winner");
+        debug_assert!(requests.is_pending(winner));
+        Some(Grant::whole_burst(winner))
     }
 
     fn name(&self) -> &str {
@@ -259,7 +229,7 @@ mod tests {
 
     #[test]
     fn idle_cycles_never_consume_the_random_stream() {
-        // The fast-forward kernel skips idle arbitrations entirely (the
+        // The event kernel skips idle arbitrations entirely (the
         // default `skip_idle` is a no-op); that is only sound because an
         // empty map returns before the LFSR draws.
         let mut stepped = arbiter(vec![1, 2, 3]);

@@ -13,13 +13,11 @@
 //!   in every simulation. The samples are discarded, so the JSON output
 //!   is byte-identical with or without this flag; it exists to exercise
 //!   and measure the observability layer.
-//! * `--kernel K` — simulation kernel, `cycle` (default), `fast`, or
-//!   `tlm`. The fast-forward kernel skips provably idle spans and the
-//!   JSON output is byte-identical (the CI kernel-diff gate checks
-//!   exactly that). The TLM kernel additionally collapses whole bus
-//!   tenures into single events: exact for catch-up arrival processes
-//!   (periodic, on/off, replay), a bounded approximation for
-//!   memoryless (Bernoulli) arrivals against a contended bus.
+//! * `--kernel K` — simulation kernel, `cycle` (default) or `event`
+//!   (`fast` and `tlm` are accepted as spellings of `event`). The event
+//!   kernel replaces idle gaps and bus tenures with exact batched
+//!   arithmetic; the JSON output is byte-identical (the CI kernel-diff
+//!   gate checks exactly that).
 //! * `--validate-analytic` — additionally run the analytic-model
 //!   validation grid (48 simulations, each compared against the
 //!   closed-form predictors of the `analytic` crate) and embed the
@@ -29,19 +27,15 @@
 //! * `--out FILE` — write the JSON document to FILE instead of stdout.
 //! * `--bench FILE` — benchmark mode: run the suite serially (`--jobs
 //!   1`) and with the requested worker count, with metrics off and on,
-//!   and once under the fast-forward kernel; assert all result
-//!   documents are byte-identical, profile the cycle kernel's phases,
-//!   time the fast kernel against the cycle kernel on a low-utilization
-//!   and a saturated workload, probe the TLM kernel (byte-exactness
-//!   plus speedup on the low-utilization workload, measured error
-//!   bounds on the saturated one), run the saturated hot-path lineup
-//!   (steady-state cycles/sec per protocol), pack the same lineup as
-//!   one SoA lockstep fleet and time it against the summed scalar runs
-//!   (lane exactness hard-asserted, aggregate speedup reported), and
-//!   write the wall-clock report to FILE (the `BENCH_PR9.json`
-//!   artifact: parallel speedup, metrics overhead, kernel speedups,
-//!   the `tlm` probe section, per-phase breakdown, per-protocol
-//!   hot-path throughput, and the `fleet` section).
+//!   and once under the event kernel; assert all result documents are
+//!   byte-identical, profile the cycle kernel's phases, time the event
+//!   kernel against the cycle kernel on a low-utilization, a saturated
+//!   Bernoulli and a saturated long-burst lineup (statistics
+//!   hard-asserted equal in every probe), run the saturated hot-path
+//!   lineup (steady-state cycles/sec per protocol), and write the
+//!   wall-clock report to FILE: parallel speedup, metrics overhead,
+//!   kernel speedups, the `tlm` and `event` probe sections, per-phase
+//!   breakdown and per-protocol hot-path throughput.
 //!
 //! Timing telemetry always goes to **stderr** so stdout stays a clean,
 //! diffable result stream.
@@ -52,7 +46,7 @@ use socsim::Kernel;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: suite [--quick] [--jobs N] [--metrics W] [--kernel cycle|fast|tlm] \
+        "usage: suite [--quick] [--jobs N] [--metrics W] [--kernel cycle|event] \
          [--validate-analytic] [--out FILE] [--bench FILE]"
     );
     std::process::exit(2);
@@ -108,7 +102,7 @@ fn main() {
 }
 
 /// The benchmark flow: four suite runs (serial/parallel × metrics
-/// off/on) plus a fast-kernel run, byte-identity checks across all of
+/// off/on) plus an event-kernel run, byte-identity checks across all of
 /// them, a profiled probe simulation, kernel-speedup probes, and the
 /// JSON report. Returns the suite result document.
 fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
@@ -149,17 +143,14 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         "metrics-on output differs between --jobs 1 and --jobs {workers}"
     );
 
-    // The fast-forward kernel must reproduce the suite byte for byte
-    // — the same guarantee the CI kernel-diff gate enforces.
-    let fast = run_suite(&SuiteOptions { jobs: 1, kernel: Kernel::Fast, ..off });
-    assert_eq!(
-        serial.json, fast.json,
-        "suite output differs between the cycle and fast-forward kernels"
-    );
+    // The event kernel must reproduce the suite byte for byte — the
+    // same guarantee the CI kernel-diff gate enforces.
+    let event = run_suite(&SuiteOptions { jobs: 1, kernel: Kernel::Event, ..off });
+    assert_eq!(serial.json, event.json, "suite output differs between the cycle and event kernels");
 
     let serial_wall = serial.telemetry.total_wall().as_secs_f64();
-    let fast_wall = fast.telemetry.total_wall().as_secs_f64();
-    let kernel_suite_speedup = if fast_wall > 0.0 { serial_wall / fast_wall } else { 1.0 };
+    let event_wall = event.telemetry.total_wall().as_secs_f64();
+    let kernel_suite_speedup = if event_wall > 0.0 { serial_wall / event_wall } else { 1.0 };
     let parallel_wall = parallel.telemetry.total_wall().as_secs_f64();
     let metrics_serial_wall = serial_metrics.telemetry.total_wall().as_secs_f64();
     let metrics_parallel_wall = parallel_metrics.telemetry.total_wall().as_secs_f64();
@@ -180,34 +171,17 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
     );
     eprintln!("{}", sim_phases_report(&profiler));
 
-    // Targeted kernel probes: the fast-forward kernel must win big on a
-    // mostly-idle workload and must not lose at saturation.
+    // Targeted kernel probes: the event kernel must win big on a
+    // mostly-idle workload and must not lose on a saturated Bernoulli
+    // one, whose every-cycle polls leave nothing to batch. Each probe
+    // hard-asserts equal statistics before reporting a ratio.
     let probe = off.settings().with_jobs(1);
     let lowutil = kernel_probe(&experiments::common::low_utilization_specs(4), &probe);
     let saturated = kernel_probe(&traffic_gen::classes::saturating_specs(4), &probe);
     eprintln!(
-        "fast kernel: suite {kernel_suite_speedup:.2}x, low-utilization {:.2}x, \
-         saturated {:.2}x",
+        "event kernel: suite {kernel_suite_speedup:.2}x, low-utilization {:.2}x, \
+         saturated Bernoulli {:.2}x (both exact)",
         lowutil.speedup, saturated.speedup
-    );
-
-    // TLM probes. On the low-utilization periodic workload every
-    // arbitration outcome is forced, so the TLM kernel must be
-    // byte-exact and much faster than the cycle kernel. On the
-    // saturated Bernoulli workload it is an approximation: measure the
-    // deviation instead of asserting identity, and publish the error
-    // bounds so regressions (accuracy or speed) are visible in the
-    // bench artifact.
-    let tlm_lowutil = tlm_exact_probe(&experiments::common::low_utilization_specs(4), &probe);
-    let tlm_saturated = tlm_error_probe(&traffic_gen::classes::saturating_specs(4), &probe);
-    eprintln!(
-        "tlm kernel: low-utilization {:.2}x (byte-exact), saturated {:.2}x \
-         (util err {:.4}, share err {:.4}, p99 ratio err {:.3})",
-        tlm_lowutil.speedup,
-        tlm_saturated.speedup,
-        tlm_saturated.utilization_abs_error,
-        tlm_saturated.bandwidth_share_max_abs_error,
-        tlm_saturated.p99_latency_max_ratio_error,
     );
 
     // The analytic crate's two headline numbers: how close the closed
@@ -241,31 +215,19 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         );
     }
 
-    // The fleet probes: saturated lineups packed as lanes of one SoA
-    // lockstep fleet with grouped (lowered) arbitration, timed against
-    // the sum of the equivalent scalar runs. Lane exactness is a hard
-    // in-binary assert; the aggregate speedups are the PR-9/PR-10
-    // acceptance numbers gated by tools/bench_regression.py.
-    let fleet = fleet_probe(&probe, &FLEET_PROTOCOLS);
+    // The event probe: the saturated long-burst lineup, TDMA included,
+    // under the event kernel against the cycle kernel in the same run.
+    // Statistics are hard-asserted equal; tools/bench_regression.py
+    // gates the aggregate speedup hard.
+    let event_probe = event_probe(&probe);
     eprintln!(
-        "fleet: {} lanes, {:.2}x aggregate vs scalar ({:.4}s vs {:.4}s, \
-         {:.2}M lane-cycles/s)",
-        fleet.lanes,
-        fleet.aggregate_speedup,
-        fleet.fleet_wall_secs,
-        fleet.scalar_wall_secs,
-        fleet.lane_cycles_per_sec / 1e6,
-    );
-    let fleet_tdma = fleet_probe(&probe, &FLEET_TDMA_PACK);
-    eprintln!(
-        "fleet_arb tdma: {} lanes sharing {} wheel kernel(s), {:.2}x aggregate vs scalar \
-         ({:.4}s vs {:.4}s, {:.2}M lane-cycles/s)",
-        fleet_tdma.lanes,
-        fleet_tdma.kernels,
-        fleet_tdma.aggregate_speedup,
-        fleet_tdma.fleet_wall_secs,
-        fleet_tdma.scalar_wall_secs,
-        fleet_tdma.lane_cycles_per_sec / 1e6,
+        "event: {} protocols, {:.2}x aggregate vs the cycle kernel ({:.4}s vs {:.4}s, \
+         {:.2}M cycles/s)",
+        event_probe.protocols.len(),
+        event_probe.aggregate_speedup,
+        event_probe.event_wall_secs,
+        event_probe.cycle_wall_secs,
+        event_probe.cycles_per_sec / 1e6,
     );
 
     let report = experiments::json::Json::obj()
@@ -281,7 +243,7 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         .field("metrics_parallel_wall_secs", metrics_parallel_wall)
         .field("metrics_overhead_pct", overhead_pct)
         .field("metrics_byte_identical", true)
-        .field("kernel_suite_wall_secs", fast_wall)
+        .field("kernel_suite_wall_secs", event_wall)
         .field("kernel_suite_speedup", kernel_suite_speedup)
         .field("kernel_byte_identical", true)
         .field("kernel_lowutil", lowutil.to_json())
@@ -289,18 +251,12 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         .field(
             "tlm",
             experiments::json::Json::obj()
-                .field("lowutil", tlm_lowutil.to_json())
-                .field("saturated", tlm_saturated.to_json()),
+                .field("lowutil", lowutil.to_json())
+                .field("saturated", saturated.to_json()),
         )
         .field("analytic", analytic_probe.to_json())
         .field("hot", experiments::hotpath::hot_json(&hot))
-        .field("fleet", fleet.to_json())
-        .field(
-            "fleet_arb",
-            experiments::json::Json::obj()
-                .field("probe", fleet.to_json())
-                .field("tdma", fleet_tdma.to_json()),
-        )
+        .field("event", event_probe.to_json())
         .field("sim_phases", sim_phases_json(&profiler))
         .field("serial", serial.telemetry.to_json())
         .field("parallel", parallel.telemetry.to_json());
@@ -313,10 +269,10 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
 }
 
 /// One kernel-speedup probe: the same workload timed under the cycle
-/// kernel and the fast-forward kernel, with a stats-equality check.
+/// kernel and the event kernel, with a hard stats-equality check.
 struct KernelProbe {
     cycle_wall_secs: f64,
-    fast_wall_secs: f64,
+    event_wall_secs: f64,
     speedup: f64,
 }
 
@@ -324,8 +280,9 @@ impl KernelProbe {
     fn to_json(&self) -> experiments::json::Json {
         experiments::json::Json::obj()
             .field("cycle_wall_secs", self.cycle_wall_secs)
-            .field("fast_wall_secs", self.fast_wall_secs)
+            .field("event_wall_secs", self.event_wall_secs)
             .field("speedup", self.speedup)
+            .field("byte_identical", true)
     }
 }
 
@@ -342,10 +299,10 @@ fn kernel_probe(
         settings,
     );
     let (cycle_wall_secs, cycle_stats) = time_best(specs, settings);
-    let (fast_wall_secs, fast_stats) = time_best(specs, &settings.with_fast_forward(true));
-    assert_eq!(cycle_stats, fast_stats, "kernel probe results diverged");
-    let speedup = if fast_wall_secs > 0.0 { cycle_wall_secs / fast_wall_secs } else { 1.0 };
-    KernelProbe { cycle_wall_secs, fast_wall_secs, speedup }
+    let (event_wall_secs, event_stats) = time_best(specs, &settings.with_kernel(Kernel::Event));
+    assert_eq!(cycle_stats, event_stats, "kernel probe results diverged");
+    let speedup = if event_wall_secs > 0.0 { cycle_wall_secs / event_wall_secs } else { 1.0 };
+    KernelProbe { cycle_wall_secs, event_wall_secs, speedup }
 }
 
 /// Best-of-5 wall time for one workload under one kernel, returning the
@@ -366,288 +323,97 @@ fn time_best(
     (best, stats.expect("ran at least once"))
 }
 
-/// The TLM exactness probe: on a forced-outcome workload the TLM kernel
-/// must reproduce the cycle kernel's stats exactly *and* beat it on
-/// wall clock by a wide margin (the ≥10x acceptance target).
-struct TlmExactProbe {
-    cycle_wall_secs: f64,
-    tlm_wall_secs: f64,
-    speedup: f64,
-}
-
-impl TlmExactProbe {
-    fn to_json(&self) -> experiments::json::Json {
-        experiments::json::Json::obj()
-            .field("cycle_wall_secs", self.cycle_wall_secs)
-            .field("tlm_wall_secs", self.tlm_wall_secs)
-            .field("speedup", self.speedup)
-            .field("byte_identical", true)
-    }
-}
-
-fn tlm_exact_probe(
-    specs: &[traffic_gen::GeneratorSpec],
-    settings: &experiments::RunSettings,
-) -> TlmExactProbe {
-    experiments::common::run_system(
-        specs,
-        experiments::common::protocol_arbiter(4, settings.seed),
-        settings,
-    );
-    let (cycle_wall_secs, cycle_stats) = time_best(specs, settings);
-    let (tlm_wall_secs, tlm_stats) = time_best(specs, &settings.with_kernel(Kernel::Tlm));
-    assert_eq!(cycle_stats, tlm_stats, "tlm kernel diverged on a forced-outcome workload");
-    let speedup = if tlm_wall_secs > 0.0 { cycle_wall_secs / tlm_wall_secs } else { 1.0 };
-    TlmExactProbe { cycle_wall_secs, tlm_wall_secs, speedup }
-}
-
-/// The TLM error probe: on a saturated Bernoulli workload tenure
-/// batching thins the arrival polls, so instead of asserting identity
-/// we measure how far utilization, per-master bandwidth shares, and
-/// latency quantiles drift from the cycle kernel's ground truth.
-struct TlmErrorProbe {
-    cycle_wall_secs: f64,
-    tlm_wall_secs: f64,
-    speedup: f64,
-    utilization_abs_error: f64,
-    bandwidth_share_max_abs_error: f64,
-    p50_latency_max_ratio_error: f64,
-    p99_latency_max_ratio_error: f64,
-}
-
-impl TlmErrorProbe {
-    fn to_json(&self) -> experiments::json::Json {
-        experiments::json::Json::obj()
-            .field("cycle_wall_secs", self.cycle_wall_secs)
-            .field("tlm_wall_secs", self.tlm_wall_secs)
-            .field("speedup", self.speedup)
-            .field("utilization_abs_error", self.utilization_abs_error)
-            .field("bandwidth_share_max_abs_error", self.bandwidth_share_max_abs_error)
-            .field("p50_latency_max_ratio_error", self.p50_latency_max_ratio_error)
-            .field("p99_latency_max_ratio_error", self.p99_latency_max_ratio_error)
-    }
-}
-
-fn tlm_error_probe(
-    specs: &[traffic_gen::GeneratorSpec],
-    settings: &experiments::RunSettings,
-) -> TlmErrorProbe {
-    experiments::common::run_system(
-        specs,
-        experiments::common::protocol_arbiter(4, settings.seed),
-        settings,
-    );
-    let (cycle_wall_secs, cycle_stats) = time_best(specs, settings);
-    let (tlm_wall_secs, tlm_stats) = time_best(specs, &settings.with_kernel(Kernel::Tlm));
-    let speedup = if tlm_wall_secs > 0.0 { cycle_wall_secs / tlm_wall_secs } else { 1.0 };
-
-    let utilization_abs_error = (cycle_stats.bus_utilization() - tlm_stats.bus_utilization()).abs();
-    // Bandwidth *shares* are relative: each master's fraction of the
-    // words actually delivered. Utilization error measures how much
-    // total throughput the approximation loses; share error measures
-    // whether it distorts the split between masters (fairness).
-    let relative_share = |stats: &socsim::stats::BusStats, id: socsim::MasterId| -> f64 {
-        let total: f64 =
-            (0..specs.len()).map(|j| stats.bandwidth_fraction(socsim::MasterId::new(j))).sum();
-        if total > 0.0 {
-            stats.bandwidth_fraction(id) / total
-        } else {
-            0.0
-        }
-    };
-    let mut bandwidth_share_max_abs_error = 0.0f64;
-    let mut p50_latency_max_ratio_error = 0.0f64;
-    let mut p99_latency_max_ratio_error = 0.0f64;
-    for i in 0..specs.len() {
-        let id = socsim::MasterId::new(i);
-        bandwidth_share_max_abs_error = bandwidth_share_max_abs_error
-            .max((relative_share(&cycle_stats, id) - relative_share(&tlm_stats, id)).abs());
-        let quantile_ratio_error = |q: f64| -> f64 {
-            let cycle_q = cycle_stats.master(id).latency_quantile(q);
-            let tlm_q = tlm_stats.master(id).latency_quantile(q);
-            match (cycle_q, tlm_q) {
-                (Some(c), Some(t)) if c > 0 => (t as f64 - c as f64).abs() / c as f64,
-                _ => 0.0,
-            }
-        };
-        p50_latency_max_ratio_error = p50_latency_max_ratio_error.max(quantile_ratio_error(0.5));
-        p99_latency_max_ratio_error = p99_latency_max_ratio_error.max(quantile_ratio_error(0.99));
-    }
-
-    TlmErrorProbe {
-        cycle_wall_secs,
-        tlm_wall_secs,
-        speedup,
-        utilization_abs_error,
-        bandwidth_share_max_abs_error,
-        p50_latency_max_ratio_error,
-        p99_latency_max_ratio_error,
-    }
-}
-
-/// One fleet probe: a saturated protocol lineup packed as lanes of one
-/// SoA lockstep fleet, timed against the summed wall clock of the
-/// equivalent scalar cycle-kernel runs. Every lane's stats are
-/// hard-asserted byte-identical to its scalar run before any number is
-/// reported.
-struct FleetProbe {
+/// The event probe: a saturated long-burst lineup run under both
+/// kernels, summed walls of the measured windows, best of five. Every
+/// protocol's statistics are hard-asserted equal across the kernels
+/// before any number is reported.
+struct EventProbe {
     protocols: &'static [&'static str],
-    lanes: usize,
-    lanes_lowered: usize,
-    kernels: usize,
-    cycles_per_lane: u64,
-    fleet_wall_secs: f64,
-    scalar_wall_secs: f64,
+    cycles_per_protocol: u64,
+    cycle_wall_secs: f64,
+    event_wall_secs: f64,
     aggregate_speedup: f64,
-    lane_cycles_per_sec: f64,
+    cycles_per_sec: f64,
 }
 
-/// Burst length (and bus `max_burst`) of the fleet probe's workload:
-/// DMA-style long tenures, where the fleet's exact tenure batching
-/// amortizes per-cycle stepping and the aggregate speedup target
-/// (gated by `tools/bench_regression.py`) is meaningful. The
-/// short-burst regime is covered by the `hot` probe above.
-const FLEET_WORDS: u32 = 64;
+/// Burst length (and bus `max_burst`) of the event probe's workload:
+/// DMA-style long tenures, the regime tenure batching and the fused
+/// loop are built for. The short-burst regime is covered by the `hot`
+/// probe.
+const EVENT_WORDS: u32 = 64;
 
-/// The flagship fleet lineup: every built-in protocol whose grants can
-/// span a multi-cycle tenure, one lane each, every lane lowered into
-/// its (singleton) SoA decision kernel. TDMA is measured by its own
-/// pack ([`FLEET_TDMA_PACK`]) instead — its wheel issues single-word
-/// grants, so its fleet win comes from the arithmetic slot-position
-/// walk rather than tenure batching, a different mechanism worth its
-/// own number.
-const FLEET_PROTOCOLS: [&str; 5] =
-    ["static-priority", "round-robin", "deficit-rr", "lottery-static", "lottery-dynamic"];
-
-/// The TDMA lane pack: identically-configured TDMA lanes that lower
-/// into one SoA kernel sharing a single timing-wheel table, each lane
-/// replayed by the arithmetic slot-position walk.
-const FLEET_TDMA_PACK: [&str; 5] = ["tdma"; 5];
-
-impl FleetProbe {
+impl EventProbe {
     fn to_json(&self) -> experiments::json::Json {
         use experiments::json::Json;
         let protocols: Vec<Json> = self.protocols.iter().map(|&p| Json::from(p)).collect();
         Json::obj()
-            .field("lanes", self.lanes)
             .field("protocols", Json::Arr(protocols))
-            .field("lanes_lowered", self.lanes_lowered)
-            .field("kernels", self.kernels)
             .field("masters", experiments::hotpath::HOT_MASTERS)
-            .field("words", u64::from(FLEET_WORDS))
-            .field("cycles_per_lane", self.cycles_per_lane)
-            .field("fleet_wall_secs", self.fleet_wall_secs)
-            .field("scalar_wall_secs", self.scalar_wall_secs)
+            .field("words", u64::from(EVENT_WORDS))
+            .field("cycles_per_protocol", self.cycles_per_protocol)
+            .field("cycle_wall_secs", self.cycle_wall_secs)
+            .field("event_wall_secs", self.event_wall_secs)
             .field("aggregate_speedup", self.aggregate_speedup)
-            .field("lane_cycles_per_sec", self.lane_cycles_per_sec)
-            .field("lane_exact", true)
+            .field("cycles_per_sec", self.cycles_per_sec)
+            .field("byte_identical", true)
     }
 }
 
-fn fleet_probe(
-    settings: &experiments::RunSettings,
-    protocols: &'static [&'static str],
-) -> FleetProbe {
-    use experiments::hotpath::{hot_arbiter, HOT_MASTERS};
-    use socsim::fleet::{Fleet, LaneBuilder};
+fn event_probe(settings: &experiments::RunSettings) -> EventProbe {
+    use experiments::hotpath::{hot_arbiter, HOT_MASTERS, HOT_PROTOCOLS};
     use traffic_gen::{SaturateSource, SourceKind};
 
-    let bus = socsim::BusConfig { max_burst: FLEET_WORDS, ..settings.bus };
-
-    // Scalar baseline: one cycle-kernel system per protocol, walls
-    // summed within a repetition, best repetition reported.
-    let mut scalar_wall_secs = f64::INFINITY;
-    let mut scalar_stats = Vec::new();
-    for _ in 0..3 {
-        let mut total = 0.0;
+    let bus = socsim::BusConfig { max_burst: EVENT_WORDS, ..settings.bus };
+    let run = |kernel: Kernel| -> (f64, Vec<socsim::stats::BusStats>) {
+        let mut best = f64::INFINITY;
         let mut stats = Vec::new();
-        for &protocol in protocols {
-            let mut builder = socsim::SystemBuilder::new(bus);
-            for i in 0..HOT_MASTERS {
-                builder = builder.master(
-                    format!("C{}", i + 1),
-                    SourceKind::from(SaturateSource::new(0, FLEET_WORDS)),
-                );
-            }
-            let mut system = builder
-                .arbiter(hot_arbiter(protocol, settings.seed))
-                .build()
-                .expect("fleet-probe system is valid");
-            system.warm_up(settings.warmup);
-            let start = std::time::Instant::now();
-            system.run(settings.measure);
-            total += start.elapsed().as_secs_f64();
-            stats.push(system.stats().clone());
-        }
-        scalar_wall_secs = scalar_wall_secs.min(total);
-        scalar_stats = stats;
-    }
-
-    // The same systems as lanes of one fleet, advanced together with
-    // grouped (SoA-lowered) arbitration.
-    let mut fleet_wall_secs = f64::INFINITY;
-    let mut fleet_stats = Vec::new();
-    let mut lanes_lowered = 0;
-    let mut kernels = 0;
-    for _ in 0..3 {
-        let lanes = protocols
-            .iter()
-            .map(|protocol| {
-                let mut lane: LaneBuilder<arbiters::ArbiterKind, SourceKind> =
-                    LaneBuilder::new(bus);
+        for _ in 0..5 {
+            let mut total = 0.0;
+            stats.clear();
+            for &protocol in &HOT_PROTOCOLS {
+                let mut builder = socsim::SystemBuilder::new(bus).kernel(kernel);
                 for i in 0..HOT_MASTERS {
-                    lane = lane.master(
+                    builder = builder.master(
                         format!("C{}", i + 1),
-                        SourceKind::from(SaturateSource::new(0, FLEET_WORDS)),
+                        SourceKind::from(SaturateSource::new(0, EVENT_WORDS)),
                     );
                 }
-                lane.arbiter(hot_arbiter(protocol, settings.seed))
-            })
-            .collect();
-        let mut fleet = Fleet::build(lanes).expect("fleet-probe lanes are valid");
-        lanes_lowered = fleet.lowered_lanes();
-        kernels = fleet.kernel_count();
-        fleet.warm_up(settings.warmup);
-        let start = std::time::Instant::now();
-        fleet.run(settings.measure);
-        fleet_wall_secs = fleet_wall_secs.min(start.elapsed().as_secs_f64());
-        fleet_stats = (0..fleet.len()).map(|i| fleet.stats(i).clone()).collect();
-    }
-    assert_eq!(
-        lanes_lowered,
-        protocols.len(),
-        "every probe lane must lower into an SoA decision kernel"
-    );
-
-    // Hard gate: every lane must reproduce its scalar run byte for
-    // byte before any throughput number is believed.
-    for ((protocol, lane), solo) in protocols.iter().zip(&fleet_stats).zip(&scalar_stats) {
-        assert_eq!(lane, solo, "fleet lane {protocol} diverged from its scalar run");
+                let mut system = builder
+                    .arbiter(hot_arbiter(protocol, settings.seed))
+                    .build()
+                    .expect("event-probe system is valid");
+                system.warm_up(settings.warmup);
+                let start = std::time::Instant::now();
+                system.run(settings.measure);
+                total += start.elapsed().as_secs_f64();
+                stats.push(system.stats().clone());
+            }
+            best = best.min(total);
+        }
+        (best, stats)
+    };
+    let (cycle_wall_secs, cycle_stats) = run(Kernel::Cycle);
+    let (event_wall_secs, event_stats) = run(Kernel::Event);
+    for ((protocol, event), cycle) in HOT_PROTOCOLS.iter().zip(&event_stats).zip(&cycle_stats) {
+        assert_eq!(event, cycle, "event kernel diverged from the cycle kernel on {protocol}");
         assert!(
-            lane.bus_utilization() > 0.95,
-            "{protocol} fleet lane is not saturated: utilization {}",
-            lane.bus_utilization()
+            event.bus_utilization() > 0.95,
+            "{protocol} event probe is not saturated: utilization {}",
+            event.bus_utilization()
         );
     }
-
-    let lanes = protocols.len();
-    let aggregate_speedup =
-        if fleet_wall_secs > 0.0 { scalar_wall_secs / fleet_wall_secs } else { 1.0 };
-    let lane_cycles_per_sec = if fleet_wall_secs > 0.0 {
-        settings.measure as f64 * lanes as f64 / fleet_wall_secs
-    } else {
-        0.0
-    };
-    FleetProbe {
-        protocols,
-        lanes,
-        lanes_lowered,
-        kernels,
-        cycles_per_lane: settings.measure,
-        fleet_wall_secs,
-        scalar_wall_secs,
-        aggregate_speedup,
-        lane_cycles_per_sec,
+    let cycles = settings.measure * HOT_PROTOCOLS.len() as u64;
+    EventProbe {
+        protocols: &HOT_PROTOCOLS,
+        cycles_per_protocol: settings.measure,
+        cycle_wall_secs,
+        event_wall_secs,
+        aggregate_speedup: if event_wall_secs > 0.0 {
+            cycle_wall_secs / event_wall_secs
+        } else {
+            1.0
+        },
+        cycles_per_sec: if event_wall_secs > 0.0 { cycles as f64 / event_wall_secs } else { 0.0 },
     }
 }
 

@@ -29,11 +29,9 @@ pub struct RunSettings {
     /// observability overhead with `suite --bench`.
     pub metrics_window: Option<u64>,
     /// Which simulation kernel every system built by [`run_system`]
-    /// runs under (see `socsim::fastforward`). [`Kernel::Fast`]
-    /// results are byte-identical to the cycle kernel;
-    /// [`Kernel::Tlm`] additionally batches whole bus tenures and is
-    /// exact only for catch-up arrival processes (periodic, on/off) —
-    /// the suite JSON never records this field.
+    /// runs under (see `socsim::Kernel`). [`Kernel::Event`] results are
+    /// byte-identical to the cycle kernel's — the suite JSON never
+    /// records this field.
     pub kernel: Kernel,
 }
 
@@ -64,12 +62,6 @@ impl RunSettings {
     /// These settings with windowed metrics enabled in every run.
     pub fn with_metrics(self, window: u64) -> Self {
         RunSettings { metrics_window: Some(window), ..self }
-    }
-
-    /// These settings with the fast-forward kernel enabled (or not) in
-    /// every run.
-    pub fn with_fast_forward(self, enabled: bool) -> Self {
-        self.with_kernel(if enabled { Kernel::Fast } else { Kernel::Cycle })
     }
 
     /// These settings running every system under `kernel`.
@@ -210,9 +202,9 @@ pub fn protocol_arbiter(index: usize, seed: u64) -> ArbiterKind {
 /// A mostly-idle four-master workload for kernel benchmarking: each
 /// master issues one short periodic message per long period (staggered
 /// phases), so the bus sits idle for the vast majority of cycles. This
-/// is the best case for the fast-forward kernel — `suite --bench` uses
-/// it to demonstrate the skip-path speedup — while
-/// [`traffic_gen::classes::saturating_specs`] is the worst case.
+/// is the best case for the event kernel's idle skip — `suite --bench`
+/// uses it to demonstrate the skip-path speedup — while
+/// [`traffic_gen::classes::saturating_specs`] never leaves the bus idle.
 ///
 /// # Panics
 ///
@@ -335,35 +327,35 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_never_changes_results() {
+    fn event_kernel_never_changes_saturated_results() {
         let settings = RunSettings { warmup: 1_000, measure: 8_000, ..RunSettings::quick() };
         let cycle = run_system(
             &saturating_specs(4),
             Box::new(RoundRobinArbiter::new(4).expect("valid")),
             &settings,
         );
-        let fast = run_system(
+        let event = run_system(
             &saturating_specs(4),
             Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings.with_fast_forward(true),
+            &settings.with_kernel(Kernel::Event),
         );
-        assert_eq!(cycle, fast, "fast-forward kernel perturbed the simulation");
+        assert_eq!(cycle, event, "event kernel perturbed the simulation");
     }
 
     #[test]
-    fn tlm_kernel_is_exact_on_periodic_low_utilization_traffic() {
+    fn event_kernel_is_exact_on_periodic_low_utilization_traffic() {
         let settings = RunSettings { warmup: 1_000, measure: 20_000, ..RunSettings::quick() };
         let cycle = run_system(
             &low_utilization_specs(4),
             Box::new(RoundRobinArbiter::new(4).expect("valid")),
             &settings,
         );
-        let tlm = run_system(
+        let event = run_system(
             &low_utilization_specs(4),
             Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings.with_kernel(Kernel::Tlm),
+            &settings.with_kernel(Kernel::Event),
         );
-        assert_eq!(cycle, tlm, "TLM kernel perturbed a forced-outcome workload");
+        assert_eq!(cycle, event, "event kernel perturbed a forced-outcome workload");
     }
 
     #[test]

@@ -90,10 +90,9 @@ pub fn run_jobs(jobs: usize) -> Fig5 {
     run_kernel(jobs, Kernel::Cycle)
 }
 
-/// [`run_jobs`] with an explicit kernel choice: every kernel produces
-/// the identical `Fig5` — the replayed request trace announces its
-/// arrival times, so even the TLM kernel stays exact here (the
-/// suite's kernel-diff gate checks this byte for byte).
+/// [`run_jobs`] with an explicit kernel choice: both kernels produce
+/// the identical `Fig5` (the suite's kernel-diff gate checks this byte
+/// for byte).
 pub fn run_kernel(jobs: usize, kernel: Kernel) -> Fig5 {
     let (aligned, misaligned) =
         socsim::pool::join(jobs, || replay_run(0, 12, kernel), || replay_run(3, 12, kernel));
@@ -169,9 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_tlm_kernel_replays_match_the_cycle_kernel() {
-        assert_eq!(run_kernel(1, Kernel::Fast), run(), "fast kernel disagrees on Figure 5");
-        assert_eq!(run_kernel(1, Kernel::Tlm), run(), "tlm kernel disagrees on Figure 5");
+    fn event_kernel_replays_match_the_cycle_kernel() {
+        assert_eq!(run_kernel(1, Kernel::Event), run(), "event kernel disagrees on Figure 5");
     }
 
     #[test]

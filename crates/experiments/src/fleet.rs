@@ -1,127 +1,61 @@
-//! Fleet-packed experiment execution.
+//! Batches of independent experiment systems run under the event kernel.
 //!
-//! Experiment fan-out in this crate is a list of *independent*
-//! simulations (see [`crate::runner`]). [`run_systems_fleet`] packs
-//! such a list into one structure-of-arrays lockstep [`Fleet`]
-//! (`socsim::fleet`) instead of building one scalar [`socsim::System`]
-//! per point: all lanes advance together over contiguous state, so a
-//! sweep's whole job list walks the caches once per cycle window
-//! rather than once per system.
-//!
-//! Lane assembly replicates `common::run_system` exactly — master
-//! names `C1..Cn`, per-master seeds derived from
-//! [`RunSettings::seed`] and the master index, the settings' bus
-//! config and optional metrics window — and the fleet kernel is
-//! proven lane-exact against the scalar cycle kernel (the
-//! `fleet_equivalence` test matrix), so swapping the executor never
-//! changes a single byte of any experiment's output.
+//! [`run_systems_fleet`] takes a list of independent experiment points
+//! and runs each through [`common::run_system`] under
+//! [`Kernel::Event`], in order, on the calling thread. The event kernel
+//! is exact, so every point's statistics equal its cycle-kernel run.
+//! Callers that want worker threads fan out over
+//! [`crate::runner::map`] themselves.
 
-use crate::common::RunSettings;
+use crate::common::{self, RunSettings};
 use arbiters::ArbiterKind;
-use socsim::fleet::{Fleet, LaneBuilder};
-use socsim::BusStats;
-use traffic_gen::{GeneratorSpec, SourceKind};
+use socsim::{BusStats, Kernel};
+use traffic_gen::GeneratorSpec;
 
-/// One fleet lane: the per-master traffic specs and the arbiter of an
-/// independent experiment point.
+/// One independent experiment point: the per-master traffic specs and
+/// the arbiter.
 pub type FleetJob = (Vec<GeneratorSpec>, ArbiterKind);
 
-/// Builds one lane the way `common::run_system` builds its system.
-fn lane(
-    specs: &[GeneratorSpec],
-    arbiter: ArbiterKind,
-    settings: &RunSettings,
-) -> LaneBuilder<ArbiterKind, SourceKind> {
-    let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(settings.bus);
-    for (i, spec) in specs.iter().enumerate() {
-        lane = lane.master(
-            format!("C{}", i + 1),
-            spec.build_kind(settings.seed.wrapping_add(i as u64 * 0x9E37_79B9)),
-        );
-    }
-    if let Some(window) = settings.metrics_window {
-        lane = lane.metrics_window(window);
-    }
-    lane.arbiter(arbiter)
-}
-
-/// Builds every job's system as one fleet lane, runs the whole pack in
-/// lockstep through the settings' warm-up and measurement windows, and
-/// returns the per-lane steady-state statistics in input order.
-/// Byte-identical to calling `common::run_system` on each job.
+/// Runs every job through the settings' warm-up and measurement windows
+/// under [`Kernel::Event`], whatever `settings.kernel` says, and returns
+/// the steady-state statistics in input order. Byte-identical to calling
+/// [`common::run_system`] on each job under either kernel.
 ///
 /// # Panics
 ///
-/// Panics if any lane cannot be built (experiment definitions are
-/// statically valid, like `common::run_system`'s).
+/// Panics if any system cannot be built (experiment definitions are
+/// statically valid, like [`common::run_system`]'s).
 pub fn run_systems_fleet(jobs: Vec<FleetJob>, settings: &RunSettings) -> Vec<BusStats> {
-    let lanes = jobs.into_iter().map(|(specs, arbiter)| lane(&specs, arbiter, settings)).collect();
-    let mut fleet = Fleet::build(lanes).expect("experiment fleet is valid");
-    fleet.warm_up(settings.warmup);
-    fleet.run(settings.measure);
-    (0..fleet.len()).map(|i| fleet.stats(i).clone()).collect()
-}
-
-/// Whether `settings` allow an experiment to swap its per-point scalar
-/// runs for one fleet pack without changing results or what `--bench`
-/// is trying to measure: the fleet is the cycle kernel's lane-exact
-/// batch form, so a `fast`/`tlm` request must keep the scalar path,
-/// and a metrics window changes each lane's layout enough that the
-/// overhead measurement should stay per-system.
-pub fn fleet_pack_allowed(settings: &RunSettings) -> bool {
-    settings.kernel == socsim::Kernel::Cycle && settings.metrics_window.is_none()
+    let settings = settings.with_kernel(Kernel::Event);
+    jobs.into_iter()
+        .map(|(specs, arbiter)| common::run_system(&specs, arbiter, &settings))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common;
     use traffic_gen::classes::saturating_specs;
     use traffic_gen::SizeDist;
 
     #[test]
-    fn fleet_pack_matches_scalar_runs_byte_for_byte() {
+    fn batch_matches_cycle_kernel_runs_byte_for_byte() {
         let settings = RunSettings { warmup: 1_000, measure: 8_000, ..RunSettings::quick() };
-        let jobs: Vec<FleetJob> = (0..5)
+        let sparse = vec![GeneratorSpec::poisson(0.01, SizeDist::fixed(8)); 2];
+        let rr2 = || ArbiterKind::from(arbiters::RoundRobinArbiter::new(2).expect("valid"));
+        let mut jobs: Vec<FleetJob> = (0..5)
             .map(|p| (saturating_specs(4), common::protocol_arbiter(p, settings.seed)))
             .collect();
-        let packed = run_systems_fleet(jobs, &settings);
-        for (p, stats) in packed.iter().enumerate() {
+        jobs.push((sparse.clone(), rr2()));
+        let batch = run_systems_fleet(jobs, &settings);
+        for (p, stats) in batch.iter().take(5).enumerate() {
             let solo = common::run_system(
                 &saturating_specs(4),
                 common::protocol_arbiter(p, settings.seed),
                 &settings,
             );
-            assert_eq!(*stats, solo, "protocol {p} lane diverged from its scalar run");
+            assert_eq!(*stats, solo, "protocol {p} diverged from its cycle-kernel run");
         }
-    }
-
-    #[test]
-    fn heterogeneous_lane_shapes_stay_exact() {
-        let settings = RunSettings { warmup: 500, measure: 6_000, ..RunSettings::quick() };
-        let sparse = vec![GeneratorSpec::poisson(0.01, SizeDist::fixed(8)); 2];
-        let rr2 = || ArbiterKind::from(arbiters::RoundRobinArbiter::new(2).expect("valid"));
-        let jobs: Vec<FleetJob> = vec![
-            (saturating_specs(4), common::protocol_arbiter(1, settings.seed)),
-            (sparse.clone(), rr2()),
-        ];
-        let packed = run_systems_fleet(jobs, &settings);
-        let solo_hot = common::run_system(
-            &saturating_specs(4),
-            common::protocol_arbiter(1, settings.seed),
-            &settings,
-        );
-        let solo_sparse = common::run_system(&sparse, rr2(), &settings);
-        assert_eq!(packed[0], solo_hot);
-        assert_eq!(packed[1], solo_sparse);
-    }
-
-    #[test]
-    fn packing_gate_respects_kernel_and_metrics() {
-        let base = RunSettings::quick();
-        assert!(fleet_pack_allowed(&base));
-        assert!(!fleet_pack_allowed(&base.with_metrics(500)));
-        assert!(!fleet_pack_allowed(&base.with_kernel(socsim::Kernel::Fast)));
-        assert!(!fleet_pack_allowed(&base.with_kernel(socsim::Kernel::Tlm)));
+        assert_eq!(batch[5], common::run_system(&sparse, rr2(), &settings));
     }
 }

@@ -14,13 +14,11 @@
 //!   each protocol's knee sits.
 
 use crate::common::{self, RunSettings};
-use crate::fleet::{fleet_pack_allowed, run_systems_fleet, FleetJob};
 use crate::json::{Json, ToJson};
 use crate::runner;
-use arbiters::ArbiterKind;
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
 use serde::{Deserialize, Serialize};
-use socsim::{BusStats, MasterId};
+use socsim::MasterId;
 use traffic_gen::{GeneratorSpec, SizeDist};
 
 /// One point of the ticket-granularity sweep.
@@ -38,34 +36,20 @@ pub struct GranularityPoint {
 /// competitors on a saturated bus.
 pub fn ticket_granularity(settings: &RunSettings) -> Vec<GranularityPoint> {
     let counts = [1u32, 2, 3, 5, 8, 13, 21, 34, 64];
-    let arbiter_for = |k: u32| -> ArbiterKind {
+    runner::map(settings, &counts, |_, &k| {
         let tickets = TicketAssignment::new(vec![k, 1, 1, 1]).expect("valid");
-        StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
-            .expect("4-master LUT fits")
-            .into()
-    };
-    // Every master must offer more than any possible entitlement
-    // (up to 64/67 ≈ 96 %), so each offers ~1.4× bus capacity.
-    let spec = GeneratorSpec::poisson(0.09, SizeDist::fixed(16));
-    let stats: Vec<BusStats> = if fleet_pack_allowed(settings) {
-        // All nine points as lanes of one lockstep fleet (lane-exact,
-        // so the curve is byte-identical to the scalar fan-out).
-        let jobs: Vec<FleetJob> = counts.iter().map(|&k| (vec![spec; 4], arbiter_for(k))).collect();
-        run_systems_fleet(jobs, settings)
-    } else {
-        runner::map(settings, &counts, |_, &k| {
-            common::run_system(&vec![spec; 4], arbiter_for(k), settings)
-        })
-    };
-    counts
-        .iter()
-        .zip(stats)
-        .map(|(&k, stats)| GranularityPoint {
+        let arbiter = StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
+            .expect("4-master LUT fits");
+        // Every master must offer more than any possible entitlement
+        // (up to 64/67 ≈ 96 %), so each offers ~1.4× bus capacity.
+        let spec = GeneratorSpec::poisson(0.09, SizeDist::fixed(16));
+        let stats = common::run_system(&vec![spec; 4], Box::new(arbiter), settings);
+        GranularityPoint {
             tickets: k,
             entitled: f64::from(k) / f64::from(k + 3),
             measured: stats.bandwidth_fraction(MasterId::new(0)),
-        })
-        .collect()
+        }
+    })
 }
 
 /// One point of the latency-vs-load sweep.
@@ -96,34 +80,18 @@ pub fn latency_vs_load(settings: &RunSettings) -> Vec<LoadPoint> {
         .iter()
         .flat_map(|&load| (0..LATENCY_PROTOCOLS.len()).map(move |p| (load, p)))
         .collect();
-    let cell_specs = |load: f64| -> Vec<GeneratorSpec> {
-        weights
+    let latencies = runner::map(settings, &cells, |_, &(load, protocol)| {
+        let specs: Vec<GeneratorSpec> = weights
             .iter()
             .map(|&w| {
                 let rate = load * f64::from(w) / 10.0 / 16.0;
                 GeneratorSpec::poisson(rate, SizeDist::fixed(16))
             })
-            .collect()
-    };
-    let latencies: Vec<Option<f64>> = if fleet_pack_allowed(settings) {
-        // The whole 30-cell cross-product as one lockstep fleet.
-        let jobs: Vec<FleetJob> = cells
-            .iter()
-            .map(|&(load, protocol)| {
-                (cell_specs(load), common::protocol_arbiter(protocol, settings.seed))
-            })
             .collect();
-        run_systems_fleet(jobs, settings)
-            .iter()
-            .map(|stats| stats.master(MasterId::new(3)).cycles_per_word())
-            .collect()
-    } else {
-        runner::map(settings, &cells, |_, &(load, protocol)| {
-            let arbiter = common::protocol_arbiter(protocol, settings.seed);
-            let stats = common::run_system(&cell_specs(load), arbiter, settings);
-            stats.master(MasterId::new(3)).cycles_per_word()
-        })
-    };
+        let arbiter = common::protocol_arbiter(protocol, settings.seed);
+        let stats = common::run_system(&specs, arbiter, settings);
+        stats.master(MasterId::new(3)).cycles_per_word()
+    });
     loads
         .iter()
         .enumerate()

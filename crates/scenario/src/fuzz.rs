@@ -2,17 +2,14 @@
 //!
 //! The fuzzer generates random-but-valid scenarios from a splitmix64
 //! counter stream (fully deterministic for a given seed), runs each
-//! one under every kernel, and checks five invariants:
+//! one under every kernel, and checks four invariants:
 //!
 //! 1. **round-trip** — `parse(render(s)) == s`.
-//! 2. **kernel-equivalence** — the cycle-accurate, fast-forward and
-//!    TLM kernels render byte-identical verdict JSON.
-//! 3. **fleet-equivalence** — packing the scenario into a two-lane
-//!    lockstep fleet next to a seed-shifted twin renders the same
-//!    verdict JSON as the scalar cycle run (lane exactness).
-//! 4. **verdict** — no assertion (generated SLAs are chosen to be
+//! 2. **kernel-equivalence** — the cycle-accurate and event kernels
+//!    render byte-identical verdict JSON.
+//! 3. **verdict** — no assertion (generated SLAs are chosen to be
 //!    satisfiable, and conservation always holds) may be violated.
-//! 5. **no silent loss/starvation** — a scenario with no fault
+//! 4. **no silent loss/starvation** — a scenario with no fault
 //!    machinery must end with zero aborted transactions and an empty
 //!    backlog after its drain phase.
 //!
@@ -93,8 +90,8 @@ pub struct Finding {
     /// Iteration that produced the scenario.
     pub iteration: u32,
     /// Which invariant broke (`round-trip`, `kernel-divergence`,
-    /// `fleet-divergence`, `verdict-fail`, `loss-without-fault`,
-    /// `silent-starvation`, `run-error`).
+    /// `verdict-fail`, `loss-without-fault`, `silent-starvation`,
+    /// `run-error`).
     pub invariant: String,
     /// Details of the breach.
     pub detail: String,
@@ -234,36 +231,15 @@ fn check(sc: &Scenario) -> Option<(String, String)> {
         Ok(o) => o,
         Err(e) => return Some(("run-error".into(), e)),
     };
-    let cycle_json = cycle.to_json().render();
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        let other = match run_scenario(sc, kernel) {
-            Ok(o) => o,
-            Err(e) => return Some(("run-error".into(), format!("{} kernel: {e}", kernel.name()))),
-        };
-        if other.to_json().render() != cycle_json {
-            return Some((
-                "kernel-divergence".into(),
-                format!("cycle-accurate and {} kernels render different verdicts", kernel.name()),
-            ));
-        }
-    }
-    // Fleet lane exactness: pack the scenario next to a seed-shifted
-    // twin so the lane actually shares a fleet with heterogeneous
-    // state, and require the lane's verdict to match the scalar run.
-    // (Fleet-ineligible scenarios exercise the scalar fallback path.)
-    let mut twin = sc.clone();
-    twin.name = format!("{}-twin", sc.name);
-    twin.seed = sc.seed.wrapping_add(0x5EED);
-    match crate::fleet::run_scenarios_fleet(&[sc, &twin]) {
-        Err(e) => return Some(("run-error".into(), format!("fleet runner: {e}"))),
-        Ok(outcomes) => {
-            if outcomes[0].to_json().render() != cycle_json {
-                return Some((
-                    "fleet-divergence".into(),
-                    "fleet lane and scalar cycle kernel render different verdicts".into(),
-                ));
-            }
-        }
+    let event = match run_scenario(sc, Kernel::Event) {
+        Ok(o) => o,
+        Err(e) => return Some(("run-error".into(), format!("event kernel: {e}"))),
+    };
+    if event.to_json().render() != cycle.to_json().render() {
+        return Some((
+            "kernel-divergence".into(),
+            "cycle-accurate and event kernels render different verdicts".into(),
+        ));
     }
     if !cycle.passed {
         let first = cycle.violations.first().expect("failed verdict has a violation");

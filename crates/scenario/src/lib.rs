@@ -7,7 +7,7 @@
 //! windows that trip failover), and SLA assertions that evaluate to a
 //! structured pass/fail verdict. Scenarios compose into plans with
 //! `after` dependencies and execute in parallel through the job pool
-//! under any of the three simulation kernels.
+//! under either simulation kernel.
 //!
 //! The crate also ships a seeded fuzzer ([`fuzz()`]) that generates
 //! random-but-valid scenarios, checks cross-kernel determinism,
@@ -33,7 +33,6 @@
 
 #![deny(missing_docs)]
 
-pub mod fleet;
 pub mod fuzz;
 pub mod model;
 pub mod parse;
@@ -43,7 +42,6 @@ pub mod run;
 pub mod sla;
 pub mod wedge;
 
-pub use fleet::{fleet_eligible, run_scenarios_fleet};
 pub use fuzz::{fuzz, shrink, Finding, FuzzConfig, FuzzReport};
 pub use model::{
     ArbiterSel, Arrival, DepCondition, Dependency, Expectation, FailoverDecl, MasterDecl,
@@ -51,7 +49,7 @@ pub use model::{
 };
 pub use parse::ScenarioError;
 pub use phased::PhasedSource;
-pub use plan::{run_plan, run_plan_fleet, PlanOutcome, PlanReport};
+pub use plan::{run_plan, PlanOutcome, PlanReport};
 pub use run::{build_arbiter, run_scenario, run_scenario_profiled, Outcome, PhaseReport};
 pub use sla::Violation;
 pub use wedge::WedgingArbiter;

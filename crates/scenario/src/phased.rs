@@ -5,7 +5,7 @@
 //! Each (master, phase) pair gets its own seeded [`SourceKind`] built
 //! from the master's traffic class with the phase's load scaling
 //! applied. Switching is a pure function of the polled cycle, so the
-//! cycle-accurate and fast-forward kernels see identical arrival
+//! cycle-accurate and event kernels see identical arrival
 //! streams — the fuzzer's kernel-equivalence invariant depends on it.
 //!
 //! Two subtleties keep the streams byte-identical across kernels:
@@ -17,7 +17,7 @@
 //!   phase's generator is first polled at the phase start, so
 //!   arrivals stamped before the phase went live are discarded here.
 //! * [`PhasedSource::next_event`] never reports a horizon past the
-//!   current phase's end, so the fast kernel cannot skip a boundary
+//!   current phase's end, so the event kernel cannot skip a boundary
 //!   and miss the generator switch.
 
 use crate::model::{Arrival, MasterDecl, PhaseDecl};
@@ -202,7 +202,7 @@ mod tests {
         let mut src = PhasedSource::build(0, &m, &phases(), 11);
         let mut stamps = Vec::new();
         // Skip straight to the flash phase without polling earlier
-        // cycles, as the fast kernel would after an idle skip.
+        // cycles, as the event kernel would after an idle skip.
         while let Some(txn) = src.poll(Cycle::new(2000)) {
             stamps.push(txn.issued_at().index());
         }

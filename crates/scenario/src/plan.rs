@@ -8,7 +8,6 @@
 //! report lists every scenario in input order regardless of execution
 //! order, so plan output is deterministic for a fixed input.
 
-use crate::fleet::run_scenarios_fleet;
 use crate::model::{DepCondition, Scenario};
 use crate::run::{run_scenario, Outcome};
 use experiments::json::Json;
@@ -158,31 +157,6 @@ fn condition_met(
 /// level by level (parallel within a level, `jobs = 0` = all cores),
 /// and reports every scenario in input order.
 pub fn run_plan(scenarios: &[Scenario], kernel: Kernel, jobs: usize) -> Result<PlanReport, String> {
-    run_plan_inner(scenarios, |runnable| {
-        Ok(parallel_map(jobs, runnable, |_worker, &i| run_scenario(&scenarios[i], kernel)))
-    })
-}
-
-/// Executes a plan with every level's runnable scenarios packed into
-/// one lockstep fleet ([`run_scenarios_fleet`]) instead of one scalar
-/// system per scenario. The report is byte-identical to
-/// [`run_plan`]'s under any kernel — the fleet kernel is lane-exact —
-/// so `--fleet` is a pure execution-strategy switch.
-pub fn run_plan_fleet(scenarios: &[Scenario]) -> Result<PlanReport, String> {
-    run_plan_inner(scenarios, |runnable| {
-        let set: Vec<&Scenario> = runnable.iter().map(|&i| &scenarios[i]).collect();
-        run_scenarios_fleet(&set).map(|outcomes| outcomes.into_iter().map(Ok).collect())
-    })
-}
-
-/// Shared plan executor: validates the dependency DAG, walks levels in
-/// order, gates each dependent scenario on its parent's outcome, and
-/// hands every level's runnable set to `run_level` (which returns one
-/// result per index, in order). Reports every scenario in input order.
-fn run_plan_inner(
-    scenarios: &[Scenario],
-    mut run_level: impl FnMut(&[usize]) -> Result<Vec<Result<Outcome, String>>, String>,
-) -> Result<PlanReport, String> {
     if scenarios.is_empty() {
         return Err("plan contains no scenarios".to_owned());
     }
@@ -208,7 +182,8 @@ fn run_plan_inner(
                 }
             }
         }
-        let results = run_level(&runnable)?;
+        let results =
+            parallel_map(jobs, &runnable, |_worker, &i| run_scenario(&scenarios[i], kernel));
         for (&i, result) in runnable.iter().zip(results) {
             slots[i] = Some(PlanOutcome::Ran(result?));
         }

@@ -11,8 +11,8 @@
 //! Verdicts serialize to deterministic JSON via
 //! [`experiments::json::Json`] and deliberately contain no wall-clock
 //! or kernel information — the same scenario run under the
-//! cycle-accurate, fast-forward and TLM kernels must produce
-//! byte-identical verdicts, and CI diffs exactly that.
+//! cycle-accurate and event kernels must produce byte-identical
+//! verdicts, and CI diffs exactly that.
 
 use crate::model::{ArbiterSel, Expectation, Scenario};
 use crate::phased::{mix, PhasedSource};
@@ -182,7 +182,7 @@ pub fn build_arbiter(sc: &Scenario) -> Result<ArbiterKind, String> {
 }
 
 /// Cumulative (failovers, recoveries) of the arbiter chain.
-pub(crate) fn probe(arb: &ArbiterKind) -> (u64, u64) {
+fn probe(arb: &ArbiterKind) -> (u64, u64) {
     match arb {
         ArbiterKind::Failover(f) => (f.failovers(), f.recoveries()),
         other => (other.failovers(), 0),
@@ -192,10 +192,10 @@ pub(crate) fn probe(arb: &ArbiterKind) -> (u64, u64) {
 /// Runs one scenario under the chosen kernel and evaluates its SLAs.
 ///
 /// Scenario runs always sample windowed metrics (SLA starvation
-/// checks need them), so [`Kernel::Tlm`] degrades to the exact
-/// fast-forward path here: verdicts are byte-identical across all
-/// three kernels by construction. The TLM tenure-batching win shows
-/// up in the experiment suite, which runs without metrics.
+/// checks need them), so [`Kernel::Event`] keeps only its idle skip
+/// here; verdicts are byte-identical under both kernels. Its tenure
+/// batching shows up in the experiment suite, which runs without
+/// metrics.
 pub fn run_scenario(sc: &Scenario, kernel: Kernel) -> Result<Outcome, String> {
     run_scenario_inner(sc, kernel, false).map(|(outcome, _)| outcome)
 }
@@ -264,10 +264,8 @@ fn run_scenario_inner(
 /// Evaluates the SLAs and the conservation check and assembles the
 /// verdict from a finished run's observations: per-phase statistics
 /// snapshots, arbiter probes, windowed metrics samples and per-master
-/// `(issued, backlog)` transaction counts. Shared by the scalar runner
-/// and the fleet runner ([`crate::fleet`]) so both assemble verdicts
-/// through the identical code path.
-pub(crate) fn assemble_outcome(
+/// `(issued, backlog)` transaction counts.
+fn assemble_outcome(
     sc: &Scenario,
     snaps: &[BusStats],
     probes: &[(u64, u64)],

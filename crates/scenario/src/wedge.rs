@@ -16,7 +16,7 @@ use socsim::{Arbiter, Cycle, Grant, RequestMap};
 ///
 /// The wrapper is kernel-safe: while a window is open (or upcoming)
 /// [`Arbiter::next_event`] refuses to report a horizon past the
-/// window start, so the fast-forward kernel can never skip over a
+/// window start, so the event kernel can never skip over a
 /// span in which the inner arbiter would have been frozen. Outside
 /// windows, skips map one-to-one onto inner [`Arbiter::skip_idle`]
 /// replays, exactly as without the wrapper.

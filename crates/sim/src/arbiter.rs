@@ -61,7 +61,7 @@ pub trait Arbiter {
     /// [`Arbiter::skip_idle`] cannot replicate (e.g. a periodic ticket
     /// re-evaluation keyed on the cycle index).
     ///
-    /// The fast-forward kernel never skips past this horizon. Returning
+    /// The event kernel never skips past this horizon. Returning
     /// `now` means "never skip over my idle decisions" — the safe
     /// default for protocols the kernel knows nothing about — while
     /// protocols whose idle behaviour is pure or a simple function of
@@ -75,7 +75,7 @@ pub trait Arbiter {
     /// [`Arbiter::arbitrate`] calls with an empty request map, without
     /// performing them.
     ///
-    /// Called by the fast-forward kernel when it jumps over `delta`
+    /// Called by the event kernel when it jumps over `delta`
     /// cycles in which the bus was idle and no master requested. The
     /// default is a no-op, correct for every protocol that ignores
     /// empty maps (and, combined with the conservative
@@ -85,117 +85,57 @@ pub trait Arbiter {
         let _ = delta;
     }
 
-    /// Cross-lane grouping key for fleet SoA lowering, or `None` for
-    /// protocols (or configurations) that must stay scalar.
+    /// The slot wheel of a TDMA-style protocol, for the event kernel's
+    /// arithmetic wheel walk, or `None` for protocols without one.
     ///
-    /// Two arbiters returning the same signature promise that
-    /// [`Arbiter::lower_group`] can host them as slots of one shared
-    /// [`SoaKernel`]. The signature encodes only the protocol variant
-    /// and the master count — never configuration contents, so a
-    /// collision can group differently-configured lanes; kernels keep
-    /// per-slot state for everything that differs and deduplicate
-    /// shared tables by *actual equality* internally.
-    ///
-    /// The default keeps every protocol scalar. The boxed forwarding
-    /// impl deliberately does **not** forward this method: a
-    /// `Box<dyn Arbiter>` erases the concrete type that
-    /// [`Arbiter::lower_group`] would need, so dyn-boxed lanes always
-    /// take the scalar path.
-    fn soa_signature(&self) -> Option<u64> {
+    /// A `Some` return promises that, while **every** master stays
+    /// pending, the grant sequence from the current position is exactly
+    /// the wheel sequence (slot reclaim never fires), each grant is a
+    /// [`Grant::single_word`], and [`Arbiter::advance_wheel`] replays
+    /// that many decisions. The default keeps every protocol on the
+    /// per-decision path.
+    fn wheel_walk(&self) -> Option<WheelWalk<'_>> {
         None
     }
 
-    /// Lowers a group of same-signature arbiters into one SoA decision
-    /// kernel, cloning each peer's live state into slot `i` of the
-    /// kernel. Returns `None` when the group cannot be lowered (the
-    /// fleet then keeps every member scalar).
-    ///
-    /// Only called with peers that all reported one identical
-    /// `Some(signature)`.
-    fn lower_group(peers: &[&Self]) -> Option<Box<dyn SoaKernel>>
-    where
-        Self: Sized,
-    {
-        let _ = peers;
-        None
-    }
-
-    /// Copies slot `slot` of `kernel` back into this scalar arbiter, so
-    /// external observers (scenario probes, runtime knobs) see exactly
-    /// the state scalar execution would have produced. The default is a
-    /// no-op, correct for protocols that never lower.
-    fn writeback_from(&mut self, kernel: &dyn SoaKernel, slot: usize) {
-        let _ = (kernel, slot);
+    /// Replays `cycles` all-pending decisions along the wheel published
+    /// by [`Arbiter::wheel_walk`], completing an arithmetic walk. Only
+    /// called on arbiters that returned a walk.
+    fn advance_wheel(&mut self, cycles: u64) {
+        let _ = cycles;
     }
 }
 
-/// A structure-of-arrays decision kernel hosting a whole fleet group of
-/// same-protocol arbiters, one *slot* per lane.
-///
-/// Produced by [`Arbiter::lower_group`] at `Fleet::build`. Per-slot
-/// calls replicate the scalar protocol **exactly** — same grants, same
-/// state evolution, same randomness consumption — while the kernel
-/// shares whatever precomputation its slots have in common (largest-
-/// remainder ticket tables, priority waterfalls, TDMA wheels).
-pub trait SoaKernel: std::any::Any {
-    /// Decides bus ownership for slot `slot` at cycle `now`; the SoA
-    /// twin of [`Arbiter::arbitrate`].
-    fn arbitrate_slot(&mut self, slot: usize, requests: &RequestMap, now: Cycle) -> Option<Grant>;
-
-    /// The SoA twin of [`Arbiter::next_event`]. Defaults conservative.
-    fn next_event_slot(&self, slot: usize, now: Cycle) -> Cycle {
-        let _ = slot;
-        now
-    }
-
-    /// The SoA twin of [`Arbiter::skip_idle`].
-    fn skip_idle_slot(&mut self, slot: usize, delta: u64) {
-        let _ = (slot, delta);
-    }
-
-    /// Slot-wheel walk tables for arithmetic TDMA batching, or `None`
-    /// for protocols without a slot wheel. A `Some` return promises
-    /// that, while **every** master stays pending, the grant sequence
-    /// from the current position is exactly the wheel sequence (no
-    /// reclaim fires) and each grant is [`Grant::single_word`].
-    fn wheel_walk(&self, slot: usize) -> Option<WheelWalk<'_>> {
-        let _ = slot;
-        None
-    }
-
-    /// Advances slot `slot`'s wheel position by `cycles` granted
-    /// cycles, completing a [`SoaKernel::wheel_walk`] batch.
-    fn advance_wheel(&mut self, slot: usize, cycles: u64) {
-        let _ = (slot, cycles);
-    }
-
-    /// Downcasting hook for [`Arbiter::writeback_from`].
-    fn as_any(&self) -> &dyn std::any::Any;
-}
-
-/// A borrowed view of one slot's TDMA wheel for arithmetic batching:
-/// the current position plus, per master, the sorted wheel indices it
-/// owns. Lets the fleet compute occurrence counts and offsets in
-/// O(log slots) without touching the per-cycle path.
+/// A borrowed view of a TDMA wheel for arithmetic batching: the
+/// current position plus, per master, the sorted wheel indices it owns.
+/// Lets the event kernel compute occurrence counts and offsets in
+/// O(log slots) without arbitrating single cycles.
 pub struct WheelWalk<'a> {
     position: usize,
     len: usize,
-    positions: &'a [Vec<u32>],
+    slots: &'a [u32],
+    starts: &'a [u32],
 }
 
 impl<'a> WheelWalk<'a> {
-    /// Builds a walk view over `positions` (per-master sorted wheel
-    /// indices; every index `< len`) starting at `position`.
-    pub fn new(position: usize, len: usize, positions: &'a [Vec<u32>]) -> Self {
+    /// Builds a walk view starting at wheel index `position` of a
+    /// `len`-slot wheel: master `m` owns the ascending wheel indices
+    /// `slots[starts[m]..starts[m + 1]]`, every one `< len`.
+    pub fn new(position: usize, len: usize, slots: &'a [u32], starts: &'a [u32]) -> Self {
         debug_assert!(position < len);
-        WheelWalk { position, len, positions }
+        WheelWalk { position, len, slots, starts }
+    }
+
+    /// The ascending wheel indices `master` owns.
+    fn owned(&self, master: usize) -> &'a [u32] {
+        &self.slots[self.starts[master] as usize..self.starts[master + 1] as usize]
     }
 
     /// Cycle offset (0-based, counted from the current position) of the
     /// `k`-th (1-based) grant to `master`, or `None` if the master owns
     /// no wheel slots.
     pub fn occurrence_offset(&self, master: usize, k: u64) -> Option<u64> {
-        let pos = &self.positions[master];
+        let pos = self.owned(master);
         let t = pos.len() as u64;
         if t == 0 || k == 0 {
             return None;
@@ -207,9 +147,14 @@ impl<'a> WheelWalk<'a> {
         Some(lap * self.len as u64 + pos[w] as u64 - self.position as u64)
     }
 
+    /// Number of masters the wheel serves.
+    pub fn masters(&self) -> usize {
+        self.starts.len() - 1
+    }
+
     /// Number of grants `master` receives in the next `window` cycles.
     pub fn count_in(&self, master: usize, window: u64) -> u64 {
-        let pos = &self.positions[master];
+        let pos = self.owned(master);
         let t = pos.len() as u64;
         if t == 0 || window == 0 {
             return 0;
@@ -246,6 +191,14 @@ impl<A: Arbiter + ?Sized> Arbiter for Box<A> {
 
     fn skip_idle(&mut self, delta: u64) {
         (**self).skip_idle(delta)
+    }
+
+    fn wheel_walk(&self) -> Option<WheelWalk<'_>> {
+        (**self).wheel_walk()
+    }
+
+    fn advance_wheel(&mut self, cycles: u64) {
+        (**self).advance_wheel(cycles)
     }
 }
 
@@ -307,7 +260,7 @@ impl Arbiter for FixedOrderArbiter {
     }
 
     // Stateless: idle decisions neither observe the cycle index nor
-    // mutate anything, so the fast-forward kernel may skip them freely.
+    // mutate anything, so the event kernel may skip them freely.
     fn next_event(&self, _now: Cycle) -> Cycle {
         Cycle::NEVER
     }

@@ -216,11 +216,7 @@ impl Bus {
                         if self.slave_fault(winner, slave, masters, now, stats, trace) {
                             return None;
                         }
-                        let wait_states = slaves
-                            .iter()
-                            .find(|s| s.id() == slave)
-                            .map_or(self.config.slave_wait_states, Slave::wait_states);
-                        let stall = self.config.grant_stall(wait_states);
+                        let stall = self.grant_stall(slaves, slave);
                         if stall > 0 {
                             stats.record_stall(1);
                             self.state = if stall == 1 {
@@ -248,10 +244,36 @@ impl Bus {
         }
     }
 
+    /// The setup stall of a grant addressed to `slave`: arbitration
+    /// overhead plus the slave's wait states (the bus-wide default for
+    /// undeclared slaves).
+    #[inline]
+    pub(crate) fn grant_stall(&self, slaves: &[Slave], slave: crate::ids::SlaveId) -> u32 {
+        let wait_states = slaves
+            .iter()
+            .find(|s| s.id() == slave)
+            .map_or(self.config.slave_wait_states, Slave::wait_states);
+        self.config.grant_stall(wait_states)
+    }
+
+    /// Arms an idle bus with a whole tenure granted to `master`: `stall`
+    /// setup cycles (the grant cycle's own included) followed by
+    /// `words` burst words. [`Bus::skip_tenure`] then replays it with
+    /// the same accounting per-cycle stepping from the grant cycle on
+    /// would record.
+    pub(crate) fn arm(&mut self, master: MasterId, words: u32, stall: u32) {
+        debug_assert!(!self.is_busy(), "arming a busy bus");
+        self.state = if stall > 0 {
+            State::Stalled { master, words, stall_left: stall }
+        } else {
+            State::Bursting { master, words_left: words }
+        };
+    }
+
     /// Fast-forwards through the interior of the tenure in flight,
     /// batching up to `max_cycles` of its remaining stall and burst
-    /// cycles into arithmetic updates — the TLM kernel's sibling of the
-    /// fast kernel's idle skip. Returns how many cycles were consumed,
+    /// cycles into arithmetic updates — the event kernel's busy-bus
+    /// sibling of its idle skip. Returns how many cycles were consumed,
     /// leaving the bus, master port, statistics, and trace in exactly
     /// the state the per-cycle [`Bus::step`] loop would have reached.
     ///
@@ -291,17 +313,13 @@ impl Bus {
         if let State::Bursting { master, words_left } = self.state {
             let burst = u64::from(words_left).min(max_cycles - consumed) as u32;
             if burst > 0 {
-                let start = now + consumed;
-                stats.record_words(master, burst);
-                trace.record_word_span(start, burst, master);
-                // A tenure never covers more words than its head
-                // transaction has left (the grant clamps to
-                // `pending_words`), so at most one completion can
-                // occur, on the batch's final word.
-                let last = start + (u64::from(burst) - 1);
-                if let Some(done) = masters[master.index()].transfer(burst, last) {
-                    stats.record_completion(master, &done);
-                }
+                Bus::record_burst(
+                    &mut masters[master.index()],
+                    now + consumed,
+                    burst,
+                    stats,
+                    trace,
+                );
                 consumed += u64::from(burst);
                 self.state = if burst == words_left {
                     State::Idle
@@ -311,6 +329,33 @@ impl Bus {
             }
         }
         consumed
+    }
+
+    /// Records `words` burst words moved by `port` on the cycles from
+    /// `start` on — word counts, per-cycle [`TraceEvent::Word`] events
+    /// and, when they finish the head transaction, its completion with
+    /// the exact finish cycle. The one place batched burst words are
+    /// accounted, shared by [`Bus::skip_tenure`] and the event kernel's
+    /// fused loop.
+    ///
+    /// A tenure never covers more words than its head transaction has
+    /// left (the grant clamps to `pending_words`), so at most one
+    /// completion can occur, on the final word.
+    #[inline]
+    pub(crate) fn record_burst(
+        port: &mut MasterPort,
+        start: Cycle,
+        words: u32,
+        stats: &mut BusStats,
+        trace: &mut BusTrace,
+    ) {
+        let master = port.id();
+        stats.record_words(master, words);
+        trace.record_word_span(start, words, master);
+        let last = start + (u64::from(words) - 1);
+        if let Some(done) = port.transfer(words, last) {
+            stats.record_completion(master, &done);
+        }
     }
 
     /// Applies grant-path faults: the grant may be dropped outright or

@@ -26,7 +26,7 @@ impl Cycle {
 
     /// A time point later than any reachable simulation cycle.
     ///
-    /// The fast-forward kernel uses `NEVER` as the event horizon of
+    /// The event kernel uses `NEVER` as the event horizon of
     /// components that have nothing scheduled (see
     /// [`crate::fastforward::NextEvent`]): taking the minimum over all
     /// horizons then naturally ignores them.

@@ -1,10 +1,10 @@
-//! Event horizons for the fast-forward kernel.
+//! Event horizons for the event kernel's idle skip.
 //!
 //! The cycle-accurate kernel pays full per-cycle cost even when every
 //! master is between bursts — exactly the idle gaps the paper's
-//! low-duty-cycle traffic classes create. The fast-forward kernel
-//! (enabled with [`crate::SystemBuilder::fast_forward`]) closes those
-//! gaps in one jump: each step it computes the **event horizon** — the
+//! low-duty-cycle traffic classes create. The event kernel
+//! ([`Kernel::Event`], selected with [`crate::SystemBuilder::kernel`])
+//! closes those gaps in one jump: each step it computes the **event horizon** — the
 //! earliest future cycle at which any component does something that
 //! batched accounting cannot replicate — and, when the bus is idle and
 //! no request is live, advances time straight to that horizon.
@@ -17,7 +17,7 @@
 //!
 //! * `now` — "do not skip over me". The conservative answer, and the
 //!   default for any component the kernel does not know; it degrades
-//!   the fast kernel to the cycle kernel but can never change results.
+//!   the idle skip to per-cycle stepping but can never change results.
 //! * a future cycle — nothing interesting happens strictly before it,
 //!   so the kernel may jump to `min` over all horizons (clamped by the
 //!   run's end).
@@ -42,66 +42,50 @@ use crate::slave::Slave;
 
 /// Which simulation kernel drives [`crate::System::run`].
 ///
-/// All three kernels share the per-cycle [`crate::System::step`] as
-/// their ground truth; they differ only in which spans of cycles they
-/// replace with batched arithmetic:
+/// Both kernels share the per-cycle [`crate::System::step`] as their
+/// ground truth:
 ///
-/// * [`Kernel::Cycle`] — steps every cycle. The reference kernel.
-/// * [`Kernel::Fast`] — additionally jumps over provably idle gaps
-///   (see the module docs). Byte-exact for every system.
-/// * [`Kernel::Tlm`] — additionally models each uncontended bus tenure
-///   as one event (`System::skip_tenure`): once a grant is issued, the
-///   stall and burst cycles it implies are replayed arithmetically up
-///   to the next component horizon. Byte-exact when every traffic
-///   source announces true future horizons (periodic, on–off/burst,
-///   replay, silent); *approximate* for sources that must be polled
-///   every cycle (Bernoulli/Poisson, saturate probes), whose polls are
-///   deferred to the next arbitration boundary. Tenure skipping
-///   disables itself (degrading to [`Kernel::Fast`], which is exact)
-///   when fault injection or windowed metrics are active.
+/// * [`Kernel::Cycle`] — steps every cycle. The reference oracle.
+/// * [`Kernel::Event`] — replaces spans of cycles with batched
+///   arithmetic wherever the result provably cannot differ: idle gaps
+///   (see the module docs), the interior of bus tenures whose elided
+///   polls are no-ops ([`crate::TrafficSource::pure_while_backlogged`]),
+///   back-to-back tenures of untraced systems, and all-pending TDMA
+///   wheel windows ([`crate::Arbiter::wheel_walk`]). Byte-exact for
+///   every system; tenure batching switches itself off when fault
+///   injection or windowed metrics observe every cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Cycle-accurate reference kernel.
     #[default]
     Cycle,
-    /// Idle-skipping event kernel (PR-4 fast-forward).
-    Fast,
-    /// Transaction-level kernel: idle skipping plus tenure batching.
-    Tlm,
+    /// Exact event kernel: idle skipping, tenure batching, fused
+    /// arbitration and the TDMA wheel walk.
+    Event,
 }
 
 impl Kernel {
     /// Parses a kernel name as used by CLI flags and spec files.
+    /// `fast` and `tlm`, the names of the event kernel's predecessors,
+    /// are accepted as spellings of `event`.
     pub fn parse(name: &str) -> Option<Kernel> {
         match name {
             "cycle" => Some(Kernel::Cycle),
-            "fast" => Some(Kernel::Fast),
-            "tlm" => Some(Kernel::Tlm),
+            "event" | "fast" | "tlm" => Some(Kernel::Event),
             _ => None,
         }
     }
 
-    /// The canonical lowercase name (`cycle`, `fast`, `tlm`).
+    /// The canonical lowercase name (`cycle`, `event`).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Cycle => "cycle",
-            Kernel::Fast => "fast",
-            Kernel::Tlm => "tlm",
+            Kernel::Event => "event",
         }
-    }
-
-    /// Whether the kernel jumps over idle gaps.
-    pub fn skips_idle(self) -> bool {
-        !matches!(self, Kernel::Cycle)
-    }
-
-    /// Whether the kernel batches uncontended bus tenures.
-    pub fn skips_tenures(self) -> bool {
-        matches!(self, Kernel::Tlm)
     }
 }
 
-/// The event-horizon interface of the fast-forward kernel.
+/// The event-horizon interface of the event kernel's idle skip.
 ///
 /// Implemented by the passive simulation components (master ports,
 /// slaves, fault plans); arbiters and traffic sources carry equivalent
@@ -177,15 +161,14 @@ mod tests {
 
     #[test]
     fn kernel_names_round_trip_and_unknowns_are_rejected() {
-        for k in [Kernel::Cycle, Kernel::Fast, Kernel::Tlm] {
+        for k in [Kernel::Cycle, Kernel::Event] {
             assert_eq!(Kernel::parse(k.name()), Some(k));
         }
+        assert_eq!(Kernel::parse("fast"), Some(Kernel::Event), "legacy spelling");
+        assert_eq!(Kernel::parse("tlm"), Some(Kernel::Event), "legacy spelling");
         assert_eq!(Kernel::parse("turbo"), None);
         assert_eq!(Kernel::parse("TLM"), None, "names are case-sensitive");
         assert_eq!(Kernel::default(), Kernel::Cycle);
-        assert!(!Kernel::Cycle.skips_idle());
-        assert!(Kernel::Fast.skips_idle() && !Kernel::Fast.skips_tenures());
-        assert!(Kernel::Tlm.skips_idle() && Kernel::Tlm.skips_tenures());
     }
 
     #[test]

@@ -73,14 +73,14 @@ pub mod system;
 pub mod trace;
 pub mod vcd;
 
-pub use arbiter::{Arbiter, Grant, IntoArbiter, SoaKernel, WheelWalk};
+pub use arbiter::{Arbiter, Grant, IntoArbiter, WheelWalk};
 pub use bus::Bus;
 pub use config::BusConfig;
 pub use cycle::Cycle;
 pub use error::BuildSystemError;
 pub use fastforward::{Kernel, NextEvent};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultLog, FaultPlan, RetryPolicy};
-pub use fleet::{Fleet, FleetBuildError, LaneBuilder};
+pub use fleet::{Fleet, LaneBuilder};
 pub use ids::{MasterId, SlaveId};
 pub use master::{MasterPort, RetryOutcome};
 pub use metrics::{BusMetrics, WindowSample};

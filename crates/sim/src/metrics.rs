@@ -416,7 +416,7 @@ impl BusMetrics {
     /// Counts `delta` elapsed cycles starting at `start` in one step,
     /// closing windows at the exact boundary cycles they would have
     /// closed at under per-cycle sampling — the Δ-cycle aware form of
-    /// [`BusMetrics::end_cycle`] used when the fast-forward kernel
+    /// [`BusMetrics::end_cycle`] used when the event kernel
     /// jumps over an idle span.
     ///
     /// Sound only for spans in which the observed state is frozen: no

@@ -111,8 +111,8 @@ impl PhaseProfiler {
 
     /// Attributes the time since the token to `phase` and credits the
     /// profiler with `cycles` completed laps in one go — the Δ-cycle
-    /// aware form of [`PhaseProfiler::lap`] used when the fast-forward
-    /// kernel covers many simulated cycles in one jump. Keeps the
+    /// aware form of [`PhaseProfiler::lap`] used when the event kernel
+    /// covers many simulated cycles in one move. Keeps the
     /// invariant that [`PhaseProfiler::laps`] equals the number of
     /// simulated cycles regardless of kernel.
     #[inline]

@@ -334,7 +334,7 @@ impl BusStats {
     }
 
     /// Records `n` grants to `id` in one step — the batched form of
-    /// [`BusStats::record_grant`] used by the fleet's arithmetic TDMA
+    /// [`BusStats::record_grant`] used by the event kernel's arithmetic TDMA
     /// wheel walk. Equivalent to calling it `n` times.
     #[inline]
     pub fn record_grants(&mut self, id: MasterId, n: u64) {
@@ -431,8 +431,8 @@ impl BusStats {
     }
 
     /// Counts `n` elapsed simulation cycles in one step — the Δ-cycle
-    /// aware form of [`BusStats::record_cycle`] used when the
-    /// fast-forward kernel jumps over an idle span. Equivalent to
+    /// aware form of [`BusStats::record_cycle`] used when the event
+    /// kernel covers a span in one move. Equivalent to
     /// calling [`BusStats::record_cycle`] `n` times.
     pub fn record_cycles(&mut self, n: u64) {
         self.cycles += n;

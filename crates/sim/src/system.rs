@@ -11,7 +11,7 @@ use crate::ids::MasterId;
 use crate::master::MasterPort;
 use crate::metrics::BusMetrics;
 use crate::profile::{PhaseProfiler, SimPhase};
-use crate::request::{Transaction, MAX_MASTERS};
+use crate::request::{RequestMap, Transaction, MAX_MASTERS};
 use crate::slave::Slave;
 use crate::stats::BusStats;
 use crate::trace::{BusTrace, TraceSink};
@@ -55,8 +55,8 @@ pub trait TrafficSource {
     /// Whether polling this source is a guaranteed no-op while its master
     /// still has work queued.
     ///
-    /// Returning `true` is a contract with the batched kernels (the
-    /// fleet's tenure batching in [`crate::fleet`]): whenever the port's
+    /// Returning `true` is a contract with the event kernel's tenure
+    /// batching ([`Kernel::Event`]): whenever the port's
     /// backlog is `>= 1`, [`TrafficSource::poll_with_backlog`] returns
     /// `None` **without mutating any internal state**, and
     /// [`TrafficSource::next_event`] returns its argument unchanged (the
@@ -260,25 +260,10 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
         self
     }
 
-    /// Selects the fast-forward kernel for [`System::run`] (see
-    /// [`crate::fastforward`]): whenever the bus is idle and every
-    /// component's event horizon lies in the future, the run jumps
-    /// straight to the horizon and replicates the skipped idle cycles'
-    /// accounting arithmetically. Results — statistics, metrics
-    /// time-series, traces, fault logs — are cycle-exact against the
-    /// default cycle kernel; only wall-clock time changes.
-    ///
-    /// Shorthand for `kernel(Kernel::Fast)` / `kernel(Kernel::Cycle)`;
-    /// kept for the many call sites that predate [`Kernel::Tlm`].
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.kernel = if enabled { Kernel::Fast } else { Kernel::Cycle };
-        self
-    }
-
     /// Selects the simulation kernel for [`System::run`] (see
-    /// [`Kernel`]): the cycle-accurate reference, the idle-skipping
-    /// fast-forward kernel, or the transaction-level kernel that
-    /// additionally batches uncontended bus tenures.
+    /// [`Kernel`]): the cycle-accurate reference or the exact event
+    /// kernel. Results — statistics, metrics time-series, traces, fault
+    /// logs — are identical under both; only wall-clock time changes.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
@@ -335,6 +320,8 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
             .map(|(i, name)| MasterPort::new(MasterId::new(i), name.clone()))
             .collect();
         let n = masters.len();
+        let zero_stall = self.config.per_grant_overhead() == 0
+            && self.slaves.iter().all(|s| self.config.grant_stall(s.wait_states()) == 0);
         let mut trace = if self.trace_capacity > 0 {
             BusTrace::enabled(self.trace_capacity)
         } else {
@@ -349,9 +336,12 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
                 None => Bus::new(self.config),
             },
             masters,
-            sources: self.sources,
             poll_horizon: vec![Cycle::ZERO; n],
+            pure_backlog: self.sources.iter().map(TrafficSource::pure_while_backlogged).collect(),
+            sources: self.sources,
             slaves: self.slaves,
+            zero_stall,
+            scratch: RequestMap::new(1),
             arbiter,
             stats: BusStats::new(n),
             trace,
@@ -381,7 +371,17 @@ pub struct System<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     /// after its last actual poll). Busy cycles skip the poll (and its
     /// dispatch) for every source whose horizon is still in the future.
     poll_horizon: Vec<Cycle>,
+    /// Cached [`TrafficSource::pure_while_backlogged`] per source, so
+    /// the batch legality scan costs one load instead of a dispatch.
+    pure_backlog: Vec<bool>,
     slaves: Vec<Slave>,
+    /// Whether every grant pays a zero setup stall (no arbitration
+    /// overhead, no wait states on any slave) — a precondition of the
+    /// arithmetic TDMA wheel walk.
+    zero_stall: bool,
+    /// Request map the event kernel's fused arbitration loop rebuilds
+    /// in place.
+    scratch: RequestMap,
     arbiter: A,
     stats: BusStats,
     trace: BusTrace,
@@ -547,12 +547,6 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
         self.now += 1;
     }
 
-    /// Whether [`System::run`] uses an idle-skipping kernel (selected
-    /// via [`SystemBuilder::fast_forward`] or [`SystemBuilder::kernel`]).
-    pub fn is_fast_forward(&self) -> bool {
-        self.kernel.skips_idle()
-    }
-
     /// The kernel [`System::run`] uses.
     pub fn run_kernel(&self) -> Kernel {
         self.kernel
@@ -611,66 +605,62 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
     /// [`System::idle_horizon`]) that nothing else happens in
     /// `now..target`.
     fn skip_to(&mut self, target: Cycle) {
-        let delta = target - self.now;
+        let now = self.now;
+        let delta = target - now;
         let mut lap = self.profiler.start();
-        self.trace.record_idle_span(self.now, delta);
+        self.trace.record_idle_span(now, delta);
         self.arbiter.skip_idle(delta);
-        self.stats.record_cycles(delta);
-        self.stats.failovers = self.arbiter.failovers() - self.failover_baseline;
+        self.finish_batch(target, delta);
         if let Some(metrics) = self.metrics.as_mut() {
-            metrics.skip_cycles(self.now, delta, &self.stats, &self.masters);
+            metrics.skip_cycles(now, delta, &self.stats, &self.masters);
         }
         self.profiler.lap_span(SimPhase::Accounting, delta, &mut lap);
-        self.now = target;
     }
 
-    /// Whether the TLM kernel may batch tenures on this system. Fault
-    /// machinery draws per-cycle state in [`System::step`]'s prepass
-    /// (master-stall lotteries, watchdog arming on waiting masters) and
-    /// windowed metrics sample gauges at every busy cycle boundary;
-    /// neither survives batching, so the TLM kernel degrades to the
-    /// (exact) fast kernel when either is active.
-    fn tenure_skips_allowed(&self) -> bool {
+    /// Whether the event kernel may batch cycles the bus is busy in.
+    /// Fault machinery draws per-cycle state in [`System::step`]'s
+    /// prepass (master-stall lotteries, watchdog arming on waiting
+    /// masters) and windowed metrics sample gauges at every busy cycle
+    /// boundary; neither survives batching, so the event kernel keeps
+    /// only its idle skip when either is active.
+    fn tenure_batching_allowed(&self) -> bool {
         self.bus.faults.is_none() && self.metrics.is_none()
     }
 
-    /// Batches the interior of the tenure in flight up to the earliest
-    /// *future* poll horizon (and `end`), deferring the polls of
-    /// sources pinned at `now` to the next unskipped cycle. Returns
-    /// whether any cycles were consumed; `false` means the caller must
-    /// fall back to a per-cycle step.
+    /// The end of the window, starting at `now` and capped at `end`, in
+    /// which every elided source poll is a provable no-op, or `None`
+    /// when a poll is due at `now` that must really run.
     ///
-    /// Deferred polls are the TLM approximation: sources announcing
-    /// true future horizons (periodic, on–off, replay, silent) lose
-    /// nothing — their generators back-fill skipped cycles at the next
-    /// poll with exact `issued_at` stamps, so every arbitration cycle
-    /// still sees identical request lines and queue heads, and results
-    /// stay byte-identical. Sources that must be polled every cycle
-    /// (Bernoulli/Poisson draws, saturate probes) have those polls
-    /// elided, thinning their arrival process — a measured, bounded
-    /// error reported by the TLM harness, never silently absorbed.
-    fn skip_tenure(&mut self, end: Cycle) -> bool {
-        let now = self.now;
+    /// A source whose cached poll horizon lies in the future has
+    /// nothing to poll before it, so the horizon bounds the window. A
+    /// source due now may only be elided when its poll is a no-op by
+    /// contract: [`TrafficSource::pure_while_backlogged`] with a
+    /// nonempty backlog. That backlog persists for the whole window —
+    /// the owner's head transaction pops only in the bus phase of its
+    /// completion cycle, after that cycle's polls, and non-owners
+    /// transfer nothing.
+    #[inline]
+    fn elision_window(&self, now: Cycle, end: Cycle) -> Option<Cycle> {
         let mut limit = end;
-        for (source, &cached) in self.sources.iter().zip(&self.poll_horizon) {
+        let scan = self.masters.iter().zip(&self.poll_horizon).zip(&self.pure_backlog);
+        for ((port, &cached), &pure) in scan {
             if cached > now {
-                // A true future horizon: nothing to poll before it, so
-                // it bounds the batch and the source stays exact.
                 limit = limit.min(cached);
-                continue;
-            }
-            // A poll is due. A source that pins its horizon at every
-            // cycle (Bernoulli draws, saturate probes, the conservative
-            // default) is deferred; one whose next event lies beyond
-            // `now + 1` announced a real event *at* `now`, which a batch
-            // would lose — step instead so the poll happens.
-            if source.next_event(now + 1) > now + 1 {
-                return false;
+            } else if !(pure && port.backlog_transactions() > 0) {
+                return None;
             }
         }
-        if limit <= now {
-            return false;
-        }
+        (limit > now).then_some(limit)
+    }
+
+    /// Batches the interior of the tenure in flight up to `limit`, the
+    /// end of the elision window. Elided sources keep their (due)
+    /// cached horizons: their `next_event` is the identity while
+    /// backlogged, so per-cycle stepping would leave them due too, and
+    /// they are re-polled at the next unskipped cycle either way.
+    #[inline(never)]
+    fn skip_tenure(&mut self, limit: Cycle) {
+        let now = self.now;
         let mut lap = self.profiler.start();
         let consumed = self.bus.skip_tenure(
             &mut self.masters,
@@ -679,39 +669,222 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
             &mut self.stats,
             &mut self.trace,
         );
-        if consumed == 0 {
-            return false;
-        }
+        debug_assert!(consumed > 0, "a busy bus has a stall or word left");
         self.profiler.lap_span(SimPhase::Bus, consumed, &mut lap);
-        self.stats.record_cycles(consumed);
+        self.finish_batch(now + consumed, consumed);
+    }
+
+    /// Serves back-to-back tenures of an idle, untraced bus without the
+    /// per-cycle poll/step machinery: each decision runs unchanged, and
+    /// the tenure it starts — the grant cycle's own stall payment or
+    /// first word included — is replayed arithmetically, until the
+    /// elision window closes at `limit`. Exact because the elided
+    /// pieces are the ones [`System::elision_window`] proves elidable
+    /// and the accounting is the bus engine's own.
+    ///
+    /// With every master pending on a zero-stall bus whose arbiter
+    /// publishes a wheel ([`Arbiter::wheel_walk`]), the window is
+    /// resolved by the arithmetic wheel walk instead.
+    ///
+    /// Always consumes at least one cycle.
+    #[inline(never)]
+    fn serve_tenures(&mut self, mut limit: Cycle) {
+        let now = self.now;
+        let mut lap = self.profiler.start();
+        self.scratch.reset_for(self.masters.len());
+        let mut all_pending = true;
+        for port in &self.masters {
+            if port.is_requesting() {
+                self.scratch.set_pending(port.id(), port.pending_words());
+            } else {
+                all_pending = false;
+            }
+        }
+        if all_pending && self.zero_stall {
+            if let Some(walk) = self.arbiter.wheel_walk() {
+                if walk.masters() == self.masters.len() {
+                    self.walk_wheel(now, limit, lap);
+                    return;
+                }
+            }
+        }
+        // The window holds for every cycle in `[now, limit)`: bounded
+        // sources never come due before `limit`, and elided due polls
+        // stay no-ops as long as their backlog survives — which only
+        // the granted master's completion can change, so only its entry
+        // is re-validated (and its scratch slot refreshed) between
+        // tenures. Elided polls enqueue nothing and non-owners transfer
+        // nothing.
+        let mut cursor = now;
+        loop {
+            if self.scratch.pending_count() >= 2 {
+                self.stats.record_contended_arbitration();
+            }
+            let Some(grant) = self.arbiter.arbitrate(&self.scratch, cursor) else {
+                // An idle decision consumes exactly one cycle; tracing
+                // is off on this path. Hand the idle bus back to the
+                // horizon machinery.
+                cursor += 1;
+                break;
+            };
+            debug_assert!(
+                self.scratch.is_pending(grant.master),
+                "arbiter `{}` granted idle master {}",
+                self.arbiter.name(),
+                grant.master
+            );
+            debug_assert!(grant.max_words > 0, "arbiter granted zero words");
+            let winner = grant.master;
+            let port = &mut self.masters[winner.index()];
+            let words = grant.max_words.min(self.bus.config().max_burst).min(port.pending_words());
+            self.stats.record_grant(winner);
+            port.note_grant(cursor);
+            let stall =
+                self.bus.grant_stall(&self.slaves, port.head_slave().expect("pending head"));
+            let consumed = if stall == 0 && u64::from(words) <= limit - cursor {
+                // A stall-free burst that fits the window leaves the bus
+                // idle again: record it without a round trip through the
+                // bus state machine.
+                Bus::record_burst(port, cursor, words, &mut self.stats, &mut self.trace);
+                u64::from(words)
+            } else {
+                // Arm the whole tenure including the grant cycle's own
+                // work: paying `stall` in one go records the same stall
+                // cycles as the stepped 1 + (stall - 1) split.
+                self.bus.arm(winner, words, stall);
+                self.bus.skip_tenure(
+                    &mut self.masters,
+                    cursor,
+                    limit - cursor,
+                    &mut self.stats,
+                    &mut self.trace,
+                )
+            };
+            debug_assert!(consumed > 0, "a served tenure consumes cycles");
+            cursor += consumed;
+            if cursor >= limit || self.bus.is_busy() {
+                // Window exhausted, possibly mid-tenure (the busy path
+                // resumes it).
+                break;
+            }
+            // The winner's completion may have drained the backlog that
+            // made its due poll elidable. Such a poll is simply *run*,
+            // exactly as the stepped poll phase would at `cursor`, so
+            // back-to-back tenures keep fusing across refills.
+            let wi = winner.index();
+            let port = &mut self.masters[wi];
+            let pure = self.pure_backlog[wi];
+            if self.poll_horizon[wi] <= cursor && !(pure && port.backlog_transactions() > 0) {
+                let source = &mut self.sources[wi];
+                if let Some(txn) = source.poll_with_backlog(cursor, port.backlog_transactions()) {
+                    port.enqueue(txn);
+                }
+                self.poll_horizon[wi] = source.next_event(cursor + 1);
+                // Fusing on needs the window's proof for this master: an
+                // elidable poll, or no poll due inside the window
+                // (shrinking it to the fresh horizon).
+                if !(pure && port.backlog_transactions() > 0) {
+                    if self.poll_horizon[wi] > cursor {
+                        limit = limit.min(self.poll_horizon[wi]);
+                    } else {
+                        break;
+                    }
+                }
+            }
+            if port.is_requesting() {
+                self.scratch.set_pending(winner, port.pending_words());
+            } else {
+                self.scratch.clear_pending(winner);
+            }
+        }
+        self.profiler.lap_span(SimPhase::Bus, cursor - now, &mut lap);
+        self.finish_batch(cursor, cursor - now);
+    }
+
+    /// Resolves a window of an all-pending, zero-stall wheel protocol
+    /// arithmetically: with every master pending, the grant sequence
+    /// from the current wheel position is exactly the wheel sequence
+    /// (the owner is always pending, so slot reclaim never fires), every
+    /// grant moves one word with no setup stall, and every cycle is busy
+    /// and contended. The walk is cut one cycle past the first
+    /// head-transaction completion, so at most one completion per
+    /// master occurs, each on its final granted cycle — the per-cycle
+    /// path's bookkeeping exactly.
+    fn walk_wheel(&mut self, now: Cycle, limit: Cycle, mut lap: Option<std::time::Instant>) {
+        let walk = self.arbiter.wheel_walk().expect("caller checked the wheel");
+        let mut span = limit - now;
+        for (m, port) in self.masters.iter().enumerate() {
+            if let Some(offset) = walk.occurrence_offset(m, u64::from(port.pending_words())) {
+                span = span.min(offset + 1);
+            }
+        }
+        for (m, port) in self.masters.iter_mut().enumerate() {
+            let granted = walk.count_in(m, span);
+            if granted == 0 {
+                continue;
+            }
+            let id = MasterId::new(m);
+            // The span ends by the earliest completion, so `granted`
+            // never exceeds the head's remaining words (a u32).
+            let first = now + walk.occurrence_offset(m, 1).expect("granted > 0");
+            let last = now + walk.occurrence_offset(m, granted).expect("granted > 0");
+            self.stats.record_grants(id, granted);
+            self.stats.record_words(id, granted as u32);
+            port.note_grant(first);
+            if let Some(done) = port.transfer(granted as u32, last) {
+                self.stats.record_completion(id, &done);
+            }
+        }
+        if self.masters.len() >= 2 {
+            self.stats.record_contended_arbitrations(span);
+        }
+        self.arbiter.advance_wheel(span);
+        self.profiler.lap_span(SimPhase::Bus, span, &mut lap);
+        self.finish_batch(now + span, span);
+    }
+
+    /// Closes a batch of `cycles` cycles ending at `to`: the cycle
+    /// counters, the failover count and the clock.
+    fn finish_batch(&mut self, to: Cycle, cycles: u64) {
+        self.stats.record_cycles(cycles);
         self.stats.failovers = self.arbiter.failovers() - self.failover_baseline;
-        self.now = now + consumed;
-        true
+        self.now = to;
     }
 
     /// Simulates `cycles` bus cycles and returns the statistics so far.
     ///
     /// Under the default cycle kernel this is `cycles` calls to
-    /// [`System::step`]. Under the fast-forward kernel (see
-    /// [`SystemBuilder::fast_forward`]) idle spans are jumped in one
-    /// step each, with cycle-exact results. The TLM kernel (see
-    /// [`Kernel::Tlm`]) additionally batches the interior of each bus
-    /// tenure; see [`crate::fastforward`] for its exactness contract.
+    /// [`System::step`]. Under [`Kernel::Event`] the run instead takes,
+    /// at every point, the largest exact move available: an idle jump to
+    /// the next event horizon (see [`crate::fastforward`]), a batch of
+    /// the tenure in flight, or — on an idle, untraced bus — a fused run
+    /// of back-to-back tenures; it steps a single cycle only when none
+    /// applies. Every move leaves exactly the state per-cycle stepping
+    /// would.
     pub fn run(&mut self, cycles: u64) -> &BusStats {
-        if self.kernel.skips_idle() {
-            let tenures = self.kernel.skips_tenures() && self.tenure_skips_allowed();
-            let end = self.now + cycles;
-            while self.now < end {
-                let target = self.idle_horizon().min(end);
-                if target > self.now {
-                    self.skip_to(target);
-                } else if !(tenures && self.bus.is_busy() && self.skip_tenure(end)) {
+        let end = self.now + cycles;
+        match self.kernel {
+            Kernel::Cycle => {
+                for _ in 0..cycles {
                     self.step();
                 }
             }
-        } else {
-            for _ in 0..cycles {
-                self.step();
+            Kernel::Event => {
+                let batching = self.tenure_batching_allowed();
+                let fused = batching && !self.trace.is_enabled();
+                while self.now < end {
+                    let target = self.idle_horizon().min(end);
+                    if target > self.now {
+                        self.skip_to(target);
+                        continue;
+                    }
+                    let window = if batching { self.elision_window(self.now, end) } else { None };
+                    match window {
+                        Some(limit) if self.bus.is_busy() => self.skip_tenure(limit),
+                        Some(limit) if fused => self.serve_tenures(limit),
+                        _ => self.step(),
+                    }
+                }
             }
         }
         &self.stats
@@ -877,7 +1050,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_is_cycle_exact_and_actually_skips() {
+    fn event_kernel_idle_skip_is_cycle_exact_and_actually_skips() {
         let run = |fast: bool| {
             let skipped = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
             let spy = SpyArbiter {
@@ -890,7 +1063,7 @@ mod tests {
                 .arbiter(spy)
                 .trace_capacity(4096)
                 .metrics_window(32)
-                .fast_forward(fast)
+                .kernel(if fast { Kernel::Event } else { Kernel::Cycle })
                 .build()
                 .expect("valid system");
             system.run(1_000);
@@ -910,18 +1083,18 @@ mod tests {
         assert_eq!(slow_metrics, fast_metrics);
         assert_eq!(slow_now, fast_now);
         assert_eq!(slow_skipped, 0, "cycle kernel never skips");
-        assert!(fast_skipped > 500, "fast kernel jumped the idle gaps, got {fast_skipped}");
+        assert!(fast_skipped > 500, "event kernel jumped the idle gaps, got {fast_skipped}");
     }
 
     #[test]
-    fn fast_forward_never_jumps_past_the_run_end() {
+    fn event_kernel_never_jumps_past_the_run_end() {
         let mut system = SystemBuilder::new(BusConfig::default())
             .master("quiet", SilentSource)
             .arbiter(FixedOrderArbiter::new(1))
-            .fast_forward(true)
+            .kernel(Kernel::Event)
             .build()
             .expect("valid system");
-        assert!(system.is_fast_forward());
+        assert_eq!(system.run_kernel(), Kernel::Event);
         assert_eq!(system.idle_horizon(), Cycle::NEVER, "nothing scheduled");
         system.run(10_000);
         assert_eq!(system.now(), Cycle::new(10_000), "end clamps the jump");
@@ -930,7 +1103,7 @@ mod tests {
     }
 
     /// Counts how many times [`System::step`] reaches the bus by spying
-    /// on arbitrations: the TLM kernel must arbitrate exactly as often
+    /// on arbitrations: the event kernel must arbitrate exactly as often
     /// as the cycle kernel (once per tenure + once per unskipped idle
     /// cycle) while *stepping* far fewer cycles.
     fn run_kernel_matrix(kernel: Kernel) -> (BusStats, BusTrace, Cycle, u64) {
@@ -957,17 +1130,17 @@ mod tests {
     }
 
     #[test]
-    fn tlm_kernel_is_byte_exact_for_horizon_announcing_sources() {
+    fn event_kernel_is_byte_exact_for_horizon_announcing_sources() {
         let (cycle_stats, cycle_trace, cycle_now, _) = run_kernel_matrix(Kernel::Cycle);
-        let (tlm_stats, tlm_trace, tlm_now, tlm_skipped) = run_kernel_matrix(Kernel::Tlm);
-        assert_eq!(cycle_stats, tlm_stats);
-        assert_eq!(cycle_trace, tlm_trace);
-        assert_eq!(cycle_now, tlm_now);
-        assert!(tlm_skipped > 500, "tlm still skips idle gaps, got {tlm_skipped}");
+        let (event_stats, event_trace, event_now, skipped) = run_kernel_matrix(Kernel::Event);
+        assert_eq!(cycle_stats, event_stats);
+        assert_eq!(cycle_trace, event_trace);
+        assert_eq!(cycle_now, event_now);
+        assert!(skipped > 500, "the event kernel skips idle gaps, got {skipped}");
     }
 
     #[test]
-    fn tlm_kernel_batches_tenures_with_overhead() {
+    fn event_kernel_batches_tenures_with_overhead() {
         // With arbitration overhead the tenure interior is long enough
         // that batching is observable: the run must finish with the same
         // results as the cycle kernel while the profiler (disabled) and
@@ -985,14 +1158,14 @@ mod tests {
             system.run(2_000);
             (system.stats().clone(), system.trace().clone())
         };
-        assert_eq!(run(Kernel::Cycle), run(Kernel::Tlm));
+        assert_eq!(run(Kernel::Cycle), run(Kernel::Event));
     }
 
     #[test]
-    fn tlm_degrades_to_fast_under_faults_and_metrics() {
+    fn event_kernel_stays_exact_under_faults_and_metrics() {
         // Fault injection and windowed metrics disable tenure batching;
-        // the run must remain byte-exact against the cycle kernel (the
-        // fast kernel's guarantee) rather than approximate.
+        // the idle skip alone must keep the run byte-exact against the
+        // cycle kernel.
         let run = |kernel: Kernel| {
             let mut system = SystemBuilder::new(BusConfig::default())
                 .master("a", EveryN { period: 30, words: 6 })
@@ -1014,7 +1187,113 @@ mod tests {
                 system.metrics().expect("metrics on").samples().to_vec(),
             )
         };
-        assert_eq!(run(Kernel::Cycle), run(Kernel::Tlm));
+        assert_eq!(run(Kernel::Cycle), run(Kernel::Event));
+    }
+
+    /// A deterministic pseudo-random source: issues a `words`-word
+    /// transaction whenever a cheap hash of the cycle clears
+    /// `threshold`. Must be polled every cycle, so it pins the event
+    /// kernel to stepping whenever it is due.
+    struct HashSource {
+        seed: u64,
+        threshold: u64,
+        words: u32,
+    }
+
+    impl TrafficSource for HashSource {
+        fn poll(&mut self, now: Cycle) -> Option<Transaction> {
+            let mut z = now.index().wrapping_add(self.seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z ^= z >> 31;
+            (z % 1000 < self.threshold).then(|| Transaction::new(SlaveId::new(0), self.words, now))
+        }
+    }
+
+    /// A saturate-style source upholding the pure-while-backlogged
+    /// contract, so the event kernel batches and fuses its tenures.
+    struct Saturating {
+        words: u32,
+    }
+
+    impl TrafficSource for Saturating {
+        fn poll(&mut self, now: Cycle) -> Option<Transaction> {
+            Some(Transaction::new(SlaveId::new(0), self.words, now))
+        }
+
+        fn poll_with_backlog(&mut self, now: Cycle, backlog: usize) -> Option<Transaction> {
+            (backlog == 0).then(|| Transaction::new(SlaveId::new(0), self.words, now))
+        }
+
+        fn pure_while_backlogged(&self) -> bool {
+            true
+        }
+    }
+
+    /// `masters` masters (saturating or hashed), a slave with
+    /// `wait_states`, optional arbitration overhead, tracing and metrics.
+    fn mixed_system(
+        kernel: Kernel,
+        saturated: bool,
+        wait_states: u32,
+        overhead: u32,
+        observed: bool,
+    ) -> System {
+        let cfg = BusConfig { arbitration_overhead: overhead, ..BusConfig::default() };
+        let mut builder: SystemBuilder = SystemBuilder::new(cfg)
+            .slave(Slave::with_wait_states(SlaveId::new(0), "s0", wait_states))
+            .kernel(kernel);
+        for m in 0..4u64 {
+            let source: Box<dyn TrafficSource> = if saturated && m != 2 {
+                Box::new(Saturating { words: 3 + 5 * m as u32 })
+            } else {
+                Box::new(HashSource { seed: m * 7 + 1, threshold: 90, words: 8 })
+            };
+            builder = builder.master(format!("m{m}"), source);
+        }
+        if observed {
+            builder = builder.trace_capacity(1 << 14).metrics_window(128);
+        }
+        builder.arbiter(Box::new(FixedOrderArbiter::new(4))).build().expect("valid system")
+    }
+
+    #[test]
+    fn event_kernel_matches_cycle_kernel_at_every_slice_boundary() {
+        // Odd slice lengths land run ends mid-tenure and mid-stall;
+        // exactness must survive every resume, on the fused untraced
+        // path (no observers), the batched traced path, and with
+        // per-grant stalls from wait states or arbitration overhead.
+        for (saturated, wait_states, overhead, observed) in [
+            (true, 0, 0, false),
+            (true, 1, 0, false),
+            (true, 0, 3, false),
+            (true, 2, 1, true),
+            (false, 0, 0, false),
+            (false, 1, 2, true),
+        ] {
+            let mut cycle = mixed_system(Kernel::Cycle, saturated, wait_states, overhead, observed);
+            let mut event = mixed_system(Kernel::Event, saturated, wait_states, overhead, observed);
+            for slice in [1u64, 5, 63, 2, 640, 9, 3000, 17, 1000] {
+                cycle.run(slice);
+                event.run(slice);
+                cycle.flush_metrics();
+                event.flush_metrics();
+                let shape = (saturated, wait_states, overhead, observed);
+                assert_eq!(cycle.stats(), event.stats(), "{shape:?} stats after {slice}");
+                assert_eq!(cycle.trace(), event.trace(), "{shape:?} trace after {slice}");
+                assert_eq!(
+                    cycle.metrics().map(BusMetrics::samples),
+                    event.metrics().map(BusMetrics::samples),
+                    "{shape:?} metrics after {slice}"
+                );
+                for m in 0..4 {
+                    let id = MasterId::new(m);
+                    assert_eq!(cycle.master(id).backlog_words(), event.master(id).backlog_words());
+                    assert_eq!(
+                        cycle.master(id).issued_transactions(),
+                        event.master(id).issued_transactions()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

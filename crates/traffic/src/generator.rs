@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn horizon_is_exact_for_deterministic_processes() {
         // Whenever a poll emits, the horizon computed just before must
-        // have been exactly that cycle — the fast-forward kernel's "time
+        // have been exactly that cycle — the event kernel's "time
         // never jumps past an event" invariant, checked per cycle.
         let specs = [
             GeneratorSpec::periodic(25, 5, SizeDist::fixed(3)),

@@ -68,7 +68,7 @@ impl TrafficSource for ReplaySource {
 
     /// The next queued arrival stamp, or [`Cycle::NEVER`] once the
     /// trace is exhausted — a replay is pure data, so its horizon is
-    /// exact and the fast-forward kernel can jump the gaps between
+    /// exact and the event kernel can jump the gaps between
     /// entries.
     fn next_event(&self, now: Cycle) -> Cycle {
         self.queue.front().map_or(Cycle::NEVER, |t| t.issued_at().max(now))

@@ -60,12 +60,13 @@ impl TrafficSource for SaturateSource {
     }
 
     // `next_event` keeps the conservative default (`now`): the source
-    // must be polled every cycle and is never fast-forwarded over.
+    // is due every cycle, and only the pure-while-backlogged contract
+    // below lets the event kernel elide its polls.
 
     fn pure_while_backlogged(&self) -> bool {
         // With a backlog, `poll_with_backlog` returns `None` and touches
         // no state, and `next_event` keeps the identity default — exactly
-        // the contract the fleet kernel's tenure batching requires.
+        // the contract the event kernel's tenure batching requires.
         true
     }
 }

@@ -16,7 +16,9 @@
 
 use lotterybus_repro::arbiters::ArbiterKind;
 use lotterybus_repro::experiments::hotpath::{hot_arbiter, HOT_PROTOCOLS};
-use lotterybus_repro::socsim::{BusConfig, Fleet, LaneBuilder, SystemBuilder};
+use lotterybus_repro::socsim::{
+    BusConfig, Fleet, Kernel, LaneBuilder, Slave, SlaveId, SystemBuilder,
+};
 use lotterybus_repro::traffic::{SaturateSource, SourceKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,26 +61,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations made by a steady-state window of `measure` cycles after
-/// `warmup` unmeasured cycles, for the given lineup protocol.
-fn steady_state_allocs(protocol: &str, warmup: u64, measure: u64) -> u64 {
-    let mut builder = SystemBuilder::new(BusConfig::default());
+/// Allocations made by a 20,000-cycle steady-state window after 2,000
+/// unmeasured warm-up cycles, for the given lineup protocol under
+/// `kernel`, on a bus with `overhead` arbitration cycles and a slave
+/// with `wait` wait states, four masters saturating with `words`-word
+/// messages. The window must reach bus utilization above `min_util`,
+/// so a probe that stopped exercising the hot path fails loudly.
+fn steady_state_allocs(
+    protocol: &str,
+    kernel: Kernel,
+    (words, overhead, wait, min_util): (u32, u32, u32, f64),
+) -> u64 {
+    let bus =
+        BusConfig { max_burst: words, arbitration_overhead: overhead, ..BusConfig::default() };
+    let mut builder = SystemBuilder::new(bus).kernel(kernel).slave(Slave::with_wait_states(
+        SlaveId::new(0),
+        "mem",
+        wait,
+    ));
     for i in 0..4 {
         builder =
-            builder.master(format!("C{}", i + 1), SourceKind::from(SaturateSource::new(0, 8)));
+            builder.master(format!("C{}", i + 1), SourceKind::from(SaturateSource::new(0, words)));
     }
     let mut system =
         builder.arbiter(hot_arbiter(protocol, 0xC0FFEE)).build().expect("probe system is valid");
-    system.warm_up(warmup);
+    system.warm_up(2_000);
     ALLOCS.with(|allocs| allocs.set(0));
     COUNTING.with(|counting| counting.set(true));
-    system.run(measure);
+    system.run(20_000);
     COUNTING.with(|counting| counting.set(false));
     let counted = ALLOCS.with(|allocs| allocs.get());
     // The window must have actually exercised the hot path.
     assert!(
-        system.stats().bus_utilization() > 0.95,
-        "{protocol} probe is not saturated: utilization {}",
+        system.stats().bus_utilization() > min_util,
+        "{protocol} probe is not saturated: utilization {} <= {min_util}",
         system.stats().bus_utilization()
     );
     counted
@@ -100,7 +116,7 @@ fn counter_sees_allocations_when_they_happen() {
 #[test]
 fn steady_state_makes_zero_allocations_for_every_lineup_protocol() {
     for protocol in HOT_PROTOCOLS {
-        let allocs = steady_state_allocs(protocol, 2_000, 20_000);
+        let allocs = steady_state_allocs(protocol, Kernel::Cycle, (8, 0, 0, 0.95));
         assert_eq!(
             allocs, 0,
             "{protocol}: {allocs} heap allocation(s) in a 20k-cycle steady-state window"
@@ -110,10 +126,10 @@ fn steady_state_makes_zero_allocations_for_every_lineup_protocol() {
 
 #[test]
 fn fleet_steady_state_makes_zero_allocations_across_all_lineup_protocols() {
-    // The whole lineup packed as one lockstep fleet — one lane per
-    // protocol, each saturated. Past warm-up, advancing every lane must
-    // be as allocation-free as the scalar kernel; the SoA batching may
-    // move no per-cycle work onto the heap.
+    // The whole lineup as one fleet — one saturated event-kernel lane
+    // per protocol. Past warm-up, advancing every lane must be as
+    // allocation-free as the cycle kernel; the fused loop, tenure
+    // batches and the TDMA wheel walk may move no work onto the heap.
     let lanes = HOT_PROTOCOLS
         .iter()
         .map(|&protocol| {
@@ -150,46 +166,20 @@ fn fleet_steady_state_makes_zero_allocations_across_all_lineup_protocols() {
 }
 
 #[test]
-fn grouped_arbitration_steady_state_makes_zero_allocations() {
-    // Grouped (shared-table) arbitration: four identically-configured
-    // lanes per protocol, so each protocol's lanes lower into ONE SoA
-    // decision kernel. Batched draws, shared ticket tables and the
-    // TDMA wheel walk must all run off pre-built state — no per-cycle
-    // or per-decision heap traffic.
-    let pack: Vec<&str> = ["lottery-static", "tdma"]
-        .into_iter()
-        .flat_map(|protocol| std::iter::repeat_n(protocol, 4))
-        .collect();
-    let lanes = pack
-        .iter()
-        .map(|&protocol| {
-            let mut lane: LaneBuilder<ArbiterKind, SourceKind> =
-                LaneBuilder::new(BusConfig::default());
-            for i in 0..4 {
-                lane =
-                    lane.master(format!("C{}", i + 1), SourceKind::from(SaturateSource::new(0, 8)));
-            }
-            lane.arbiter(hot_arbiter(protocol, 0xC0FFEE))
-        })
-        .collect();
-    let mut fleet = Fleet::build(lanes).expect("grouped fleet is valid");
-    assert_eq!(fleet.lowered_lanes(), pack.len(), "every lane lowers into a kernel");
-    assert_eq!(fleet.kernel_count(), 2, "identical lanes share one kernel per protocol");
-    fleet.warm_up(2_000);
-    ALLOCS.with(|allocs| allocs.set(0));
-    COUNTING.with(|counting| counting.set(true));
-    fleet.run(20_000);
-    COUNTING.with(|counting| counting.set(false));
-    let counted = ALLOCS.with(|allocs| allocs.get());
-    for (lane, protocol) in pack.iter().enumerate() {
-        assert!(
-            fleet.stats(lane).bus_utilization() > 0.95,
-            "{protocol} grouped lane {lane} is not saturated: utilization {}",
-            fleet.stats(lane).bus_utilization()
-        );
+fn event_kernel_long_burst_and_stalled_windows_make_zero_allocations() {
+    // The event kernel's other moves: long zero-stall bursts batched by
+    // the fused loop, and grants paying a setup stall (arbitration
+    // overhead plus slave wait states) armed on the bus and batched.
+    // Stall-free 64-word bursts keep the bus saturated; with a 3-cycle
+    // setup per grant, TDMA's 1-word slot grants cap utilization at
+    // 1/4, so the stalled shape only requires the bus to be busy.
+    for protocol in HOT_PROTOCOLS {
+        for shape in [(64, 0, 0, 0.95), (16, 2, 1, 0.2)] {
+            let allocs = steady_state_allocs(protocol, Kernel::Event, shape);
+            assert_eq!(
+                allocs, 0,
+                "{protocol} {shape:?}: {allocs} heap allocation(s) in a 20k-cycle event-kernel window"
+            );
+        }
     }
-    assert_eq!(
-        counted, 0,
-        "{counted} heap allocation(s) in a 20k-cycle grouped-arbitration window"
-    );
 }

@@ -1,19 +1,13 @@
 //! Golden fleet snapshot: a pinned heterogeneous lane pack, its
 //! per-lane numbers snapshotted under `tests/golden/`.
 //!
-//! The snapshot pins the fleet kernel's *numbers* — utilization,
-//! shares, latencies, completion counts per lane — so any change to the
-//! SoA run loop's decision order, skip legality, or batching shows up
-//! as a byte diff. The same document is also rendered from solo scalar
-//! runs of each lane, so the golden file doubles as a lane-exactness
-//! witness in CI.
-//!
-//! To regenerate after an intentional behaviour change:
-//!
-//! ```console
-//! $ REGEN_GOLDEN=1 cargo test --test golden_fleet
-//! $ git diff tests/golden/   # review before committing
-//! ```
+//! The snapshot pins the event kernel's *numbers* — utilization,
+//! shares, latencies, completion counts per lane — so any change to its
+//! decision order, skip legality, or batching shows up as a byte diff.
+//! The same document is also rendered from cycle-kernel runs of each
+//! lane, so the golden file doubles as a kernel-equivalence witness in
+//! CI. The snapshot predates the event kernel and is never regenerated:
+//! both kernels must keep reproducing it.
 
 use lotterybus_repro::arbiters::ArbiterKind;
 use lotterybus_repro::experiments::hotpath::{hot_arbiter, HOT_PROTOCOLS};
@@ -107,21 +101,12 @@ fn golden_fleet_pack_is_stable_and_lane_exact() {
         HOT_PROTOCOLS.iter().enumerate().map(|(i, &p)| (p, fleet.stats(i).clone())).collect();
     let fleet_doc = document(&fleet_stats);
 
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &fleet_doc).expect("write golden snapshot");
-        eprintln!("regenerated {GOLDEN_PATH}");
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
-        panic!("cannot read {GOLDEN_PATH}: {e}; run with REGEN_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        fleet_doc, golden,
-        "fleet output drifted from the golden snapshot; if the change is \
-         intentional, regenerate with REGEN_GOLDEN=1 and review the diff"
-    );
+    let golden = std::fs::read_to_string(GOLDEN_PATH)
+        .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e}"));
+    assert_eq!(fleet_doc, golden, "event-kernel output drifted from the golden snapshot");
 
-    // The same document from solo scalar runs: the snapshot doubles as
-    // a lane-exactness witness.
+    // The same document from cycle-kernel runs: the snapshot doubles as
+    // a kernel-equivalence witness.
     let scalar_stats: Vec<(&str, BusStats)> = pack()
         .into_iter()
         .map(|(protocol, sources)| {
@@ -140,6 +125,6 @@ fn golden_fleet_pack_is_stable_and_lane_exact() {
     assert_eq!(
         document(&scalar_stats),
         golden,
-        "solo scalar runs differ from the golden fleet snapshot (lane exactness broken)"
+        "cycle-kernel runs differ from the golden fleet snapshot (kernel equivalence broken)"
     );
 }

@@ -48,10 +48,6 @@ fn golden_document(kernel: Kernel) -> String {
 
 #[test]
 fn golden_suite_document_is_stable_under_both_exact_kernels() {
-    // The TLM kernel is deliberately absent here: fig4/starvation/
-    // energy drive Bernoulli traffic, where it is a bounded
-    // approximation rather than byte-exact (its exact subset — fig5 —
-    // is pinned by tests/kernel_equivalence.rs instead).
     let cycle = golden_document(Kernel::Cycle);
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &cycle).expect("write golden snapshot");
@@ -65,9 +61,9 @@ fn golden_suite_document_is_stable_under_both_exact_kernels() {
         "cycle-kernel output drifted from the golden snapshot; if the change is \
          intentional, regenerate with REGEN_GOLDEN=1 and review the diff"
     );
-    let fast = golden_document(Kernel::Fast);
+    let event = golden_document(Kernel::Event);
     assert_eq!(
-        fast, golden,
-        "fast-kernel output differs from the golden snapshot (kernel equivalence broken)"
+        event, golden,
+        "event-kernel output differs from the golden snapshot (kernel equivalence broken)"
     );
 }

@@ -1,19 +1,12 @@
-//! Differential testing harness for the fast-forward and TLM kernels.
+//! Differential testing harness for the event kernel.
 //!
 //! Every suite experiment — and a set of system-level scenarios
 //! covering fault injection, recovery, windowed metrics, traces,
-//! waveforms, and replica fan-out — runs under both the cycle kernel
-//! and the fast-forward kernel. The outputs must match exactly:
-//! statistics struct-for-struct, serialized JSON byte-for-byte, trace
-//! streams event-for-event. Fast-forward is a pure wall-clock
-//! optimization; any divergence here is a kernel bug.
-//!
-//! The TLM kernel joins the matrix wherever it claims exactness: on
-//! forced-outcome systems (periodic/replay arrivals, or any system
-//! with metrics or faults enabled, where tenure batching switches
-//! itself off) its output must also be byte-identical. Its bounded
-//! statistical error on contended memoryless traffic is measured by
-//! `suite --bench`, not asserted here.
+//! waveforms, replica fan-out, and random heterogeneous systems —
+//! runs under both the cycle kernel and the event kernel. The outputs
+//! must match exactly: statistics struct-for-struct, serialized JSON
+//! byte-for-byte, trace streams event-for-event. The event kernel is a
+//! pure wall-clock optimization; any divergence here is a kernel bug.
 
 use lotterybus_cli::{render_metrics, render_report, SimSpec};
 use lotterybus_repro::arbiters::FailoverArbiter;
@@ -38,11 +31,11 @@ where
     F: Fn(&RunSettings) -> T,
 {
     let cycle = experiment(&short());
-    let fast = experiment(&short().with_fast_forward(true));
-    assert_eq!(cycle, fast, "{name}: kernels disagree");
+    let event = experiment(&short().with_kernel(Kernel::Event));
+    assert_eq!(cycle, event, "{name}: kernels disagree");
     assert_eq!(
         cycle.to_json().render(),
-        fast.to_json().render(),
+        event.to_json().render(),
         "{name}: serialized JSON differs between kernels"
     );
 }
@@ -56,11 +49,9 @@ fn fig4_bandwidth_and_timeseries_match() {
 #[test]
 fn fig5_tdma_replay_matches() {
     let cycle = experiments::fig5::run_kernel(1, Kernel::Cycle);
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        let other = experiments::fig5::run_kernel(1, kernel);
-        assert_eq!(cycle, other, "fig5: {} kernel disagrees", kernel.name());
-        assert_eq!(cycle.to_json().render(), other.to_json().render());
-    }
+    let event = experiments::fig5::run_kernel(1, Kernel::Event);
+    assert_eq!(cycle, event, "fig5: the event kernel disagrees");
+    assert_eq!(cycle.to_json().render(), event.to_json().render());
 }
 
 #[test]
@@ -88,7 +79,7 @@ fn starvation_sweeps_energy_and_ablations_match() {
 /// periodic + bursty + poisson traffic, all five fault classes, retry
 /// with backoff, a watchdog timeout, a failover-wrapped lottery, a
 /// windowed metrics collector, and a buffered + streamed trace.
-fn build_full_system(seed: u64, fast_forward: bool) -> lotterybus_repro::socsim::System {
+fn build_full_system(seed: u64, kernel: Kernel) -> lotterybus_repro::socsim::System {
     let fault = FaultConfig {
         seed,
         slave_error_rate: 0.01,
@@ -104,7 +95,7 @@ fn build_full_system(seed: u64, fast_forward: bool) -> lotterybus_repro::socsim:
         Box::new(StaticLotteryArbiter::with_seed(tickets, seed as u32 | 1).expect("valid"));
     let arbiter = FailoverArbiter::with_patience(lottery, 3, 64).expect("valid");
     SystemBuilder::new(BusConfig::default())
-        .fast_forward(fast_forward)
+        .kernel(kernel)
         .master("periodic", GeneratorSpec::periodic(90, 7, SizeDist::fixed(8)).build_source(seed))
         .master(
             "bursty",
@@ -125,8 +116,8 @@ fn build_full_system(seed: u64, fast_forward: bool) -> lotterybus_repro::socsim:
 #[test]
 fn faulty_observed_system_matches_in_every_output_stream() {
     for seed in [3u64, 17, 101] {
-        let mut cycle = build_full_system(seed, false);
-        let mut fast = build_full_system(seed, true);
+        let mut cycle = build_full_system(seed, Kernel::Cycle);
+        let mut fast = build_full_system(seed, Kernel::Event);
         for system in [&mut cycle, &mut fast] {
             system.warm_up(500);
             system.run(20_000);
@@ -158,9 +149,9 @@ fn replica_fanout_matches_across_kernels() {
     let base_seed = 0xC0FFEEu64;
     for r in 0..3u64 {
         let seed = base_seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_97F4_A7C5));
-        let run = |fast: bool| {
+        let run = |kernel: Kernel| {
             let mut system = SystemBuilder::new(BusConfig::default())
-                .fast_forward(fast)
+                .kernel(kernel)
                 .master("a", GeneratorSpec::periodic(64, 0, SizeDist::fixed(8)).build_source(seed))
                 .master(
                     "b",
@@ -172,7 +163,7 @@ fn replica_fanout_matches_across_kernels() {
             system.run(15_000);
             system.stats().clone()
         };
-        assert_eq!(run(false), run(true), "replica {r} diverged between kernels");
+        assert_eq!(run(Kernel::Cycle), run(Kernel::Event), "replica {r} diverged between kernels");
     }
 }
 
@@ -180,7 +171,7 @@ fn replica_fanout_matches_across_kernels() {
 fn cli_spec_pipeline_matches_across_kernels() {
     // The full CLI path: parse a spec, build the system the way the
     // binary does, and render the user-facing report plus the windowed
-    // metrics section. `kernel = fast` must not change a byte.
+    // metrics section. `kernel = event` must not change a byte.
     let spec_for = |kernel: &str| {
         let text = format!(
             "arbiter = lottery\n\
@@ -222,7 +213,7 @@ fn cli_spec_pipeline_matches_across_kernels() {
             builder = builder.metrics_window(window);
         }
         let mut system = builder
-            .fast_forward(spec.kernel.is_fast())
+            .kernel(spec.kernel)
             .arbiter(spec.build_arbiter().expect("arbiter"))
             .build()
             .expect("valid system");
@@ -237,16 +228,16 @@ fn cli_spec_pipeline_matches_across_kernels() {
         text
     };
     let cycle = render(&spec_for("cycle"));
-    let fast = render(&spec_for("fast"));
+    let event = render(&spec_for("event"));
     assert!(cycle.contains("fault"), "spec fault section missing from the report");
-    assert_eq!(cycle, fast, "CLI report differs between kernels");
+    assert_eq!(cycle, event, "CLI report differs between kernels");
 }
 
 #[test]
 fn scenario_and_suite_experiment_match_across_the_full_kernel_matrix() {
     // One declarative scenario: the runner always enables windowed
-    // metrics, so even the TLM kernel must render a byte-identical
-    // verdict (tenure batching disables itself under observation).
+    // metrics, so the event kernel keeps only its idle skip; the
+    // verdict must be byte-identical.
     let text = "scenario kernel-matrix\n\
                 seed = 42\n\
                 arbiter = lottery\n\
@@ -256,32 +247,32 @@ fn scenario_and_suite_experiment_match_across_the_full_kernel_matrix() {
                 sla losses max=0\n";
     let sc = scenario::Scenario::parse(text).expect("valid scenario");
     let cycle = scenario::run_scenario(&sc, Kernel::Cycle).expect("cycle run");
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        let other = scenario::run_scenario(&sc, kernel).expect("kernel run");
-        assert_eq!(
-            cycle.to_json().render(),
-            other.to_json().render(),
-            "scenario verdict differs under the {} kernel",
-            kernel.name()
-        );
-    }
+    let event = scenario::run_scenario(&sc, Kernel::Event).expect("event run");
+    assert_eq!(
+        cycle.to_json().render(),
+        event.to_json().render(),
+        "scenario verdict differs under the event kernel"
+    );
 
-    // One suite experiment on a forced-outcome workload: periodic
-    // low-utilization traffic, where the TLM kernel claims outright
-    // exactness (every arbitration outcome is forced, so whole-tenure
-    // batching loses nothing).
+    // Suite experiments on a low-utilization periodic workload and on
+    // the saturated Bernoulli one, whose every-cycle polls forbid
+    // batching and must send the event kernel back to stepping.
     let settings = short();
-    let specs = experiments::common::low_utilization_specs(4);
-    let run = |s: &RunSettings| {
-        experiments::common::run_system(&specs, experiments::common::protocol_arbiter(4, s.seed), s)
-    };
-    let cycle_stats = run(&settings);
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
+    for specs in [
+        experiments::common::low_utilization_specs(4),
+        lotterybus_repro::traffic::classes::saturating_specs(4),
+    ] {
+        let run = |s: &RunSettings| {
+            experiments::common::run_system(
+                &specs,
+                experiments::common::protocol_arbiter(4, s.seed),
+                s,
+            )
+        };
         assert_eq!(
-            cycle_stats,
-            run(&settings.with_kernel(kernel)),
-            "suite experiment stats differ under the {} kernel",
-            kernel.name()
+            run(&settings),
+            run(&settings.with_kernel(Kernel::Event)),
+            "suite experiment stats differ under the event kernel"
         );
     }
 }
@@ -377,18 +368,17 @@ fn dispatch_outputs<S: TrafficSource>(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet lockstep kernel vs scalar kernels (PR 9).
+// Event-kernel batches and random systems vs the cycle kernel.
 //
-// The SoA fleet kernel advances N independent systems per cycle over
-// contiguous state. It must be *lane-exact*: every lane's statistics,
-// trace stream, and windowed metrics byte-identical to the same system
-// run solo through the scalar cycle kernel. The matrix covers every
-// suite experiment workload shape, the committed scenario library, and
-// a full-observability mixed fleet.
+// `run_systems_fleet` and `Fleet` run every system under the event
+// kernel. Each system's statistics, trace stream, and windowed metrics
+// must equal the same system stepped by the cycle kernel — across the
+// suite's workload shapes, full observability, per-grant setup stalls,
+// all-pending TDMA wheels, and random heterogeneous systems.
 // ---------------------------------------------------------------------------
 
 use lotterybus_repro::experiments::fleet::{run_systems_fleet, FleetJob};
-use lotterybus_repro::socsim::{Fleet, LaneBuilder, Slave, SlaveId};
+use lotterybus_repro::socsim::{Fleet, LaneBuilder, Slave, SlaveId, System};
 
 /// The suite's three workload shapes: saturated, mostly idle, and a
 /// weighted Bernoulli mix (the load-sweep cell at 85% offered load).
@@ -407,7 +397,7 @@ fn suite_workloads() -> Vec<(&'static str, Vec<GeneratorSpec>)> {
 #[test]
 fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
     // All (protocol × workload) combinations of the suite's experiment
-    // matrix as lanes of ONE fleet, each compared to its solo scalar
+    // matrix through one event-kernel batch, each compared to its solo
     // cycle-kernel run.
     let settings = short();
     let cells: Vec<(usize, &'static str, Vec<GeneratorSpec>)> = (0..5)
@@ -428,7 +418,7 @@ fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
         );
         assert_eq!(
             *lane_stats, solo,
-            "protocol {p} on the {name} workload: fleet lane diverged from its scalar run"
+            "protocol {p} on the {name} workload: event kernel diverged from the cycle kernel"
         );
     }
 }
@@ -438,7 +428,7 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
     // A full-observability mixed fleet: every lane traces into a ring
     // and samples windowed metrics, with heterogeneous sources, wait
     // states, and master counts. Stats, trace events, and metric
-    // samples must all match the solo scalar run.
+    // samples must all match the solo cycle-kernel run.
     let seed = 0xFEE7u64;
     // Sources carry RNG state and are not `Clone`, so each shape is a
     // recipe evaluated once for the fleet lane and once for the solo run.
@@ -460,9 +450,8 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
         }
     };
     let shapes = [(0usize, 0u32, "mixed"), (1, 2, "stalled-saturate"), (2, 0, "idle-heavy")];
-    let lane_for = |&(shape, wait, _): &(usize, u32, &str)| {
-        let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
-        lane = lane
+    let builder_for = |&(shape, wait, _): &(usize, u32, &str)| {
+        let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default())
             .slave(Slave::with_wait_states(SlaveId::new(0), "mem", wait))
             .trace_capacity(1 << 14)
             .metrics_window(256);
@@ -472,71 +461,152 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
         lane.arbiter(hot_arbiter(HOT_PROTOCOLS[1], seed))
     };
     let mut fleet =
-        Fleet::build(shapes.iter().map(lane_for).collect()).expect("matrix lanes are valid");
+        Fleet::build(shapes.iter().map(builder_for).collect()).expect("matrix lanes are valid");
     fleet.warm_up(300);
     fleet.run(12_000);
-    fleet.flush_metrics();
-    for (lane, &(shape, wait, name)) in shapes.iter().enumerate() {
-        let mut builder: SystemBuilder<ArbiterKind, SourceKind> =
-            SystemBuilder::new(BusConfig::default())
-                .slave(Slave::with_wait_states(SlaveId::new(0), "mem", wait))
-                .trace_capacity(1 << 14)
-                .metrics_window(256);
-        for (i, source) in sources(shape).into_iter().enumerate() {
-            builder = builder.master(format!("M{}", i + 1), source);
-        }
-        let mut solo = builder.arbiter(hot_arbiter(HOT_PROTOCOLS[1], seed)).build().expect("valid");
+    for (lane, shape) in shapes.iter().enumerate() {
+        let name = shape.2;
+        let mut solo = builder_for(shape).build().expect("valid");
         solo.warm_up(300);
         solo.run(12_000);
         solo.flush_metrics();
-        assert_eq!(fleet.stats(lane), solo.stats(), "{name}: statistics diverged");
+        let lane = fleet.lane_mut(lane);
+        lane.flush_metrics();
+        assert_eq!(lane.run_kernel(), Kernel::Event, "{name}: fleet lanes run the event kernel");
+        assert_eq!(lane.stats(), solo.stats(), "{name}: statistics diverged");
+        assert_eq!(lane.trace().events(), solo.trace().events(), "{name}: trace streams diverged");
         assert_eq!(
-            fleet.trace(lane).events(),
-            solo.trace().events(),
-            "{name}: trace streams diverged"
-        );
-        assert_eq!(
-            fleet.metrics(lane).expect("metrics on").samples(),
+            lane.metrics().expect("metrics on").samples(),
             solo.metrics().expect("metrics on").samples(),
             "{name}: metrics time series diverged"
         );
-        assert_eq!(fleet.now(lane), solo.now(), "{name}: clocks diverged");
+        assert_eq!(lane.now(), solo.now(), "{name}: clocks diverged");
+    }
+}
+
+/// A four-master system of `sources` behind the lineup protocol
+/// `protocol`, on a bus with `overhead` arbitration cycles, a slave with
+/// `wait` wait states, bursts capped at `burst`, optionally traced.
+fn lineup_system(
+    kernel: Kernel,
+    protocol: &str,
+    sources: Vec<SourceKind>,
+    (burst, overhead, wait): (u32, u32, u32),
+    traced: bool,
+    seed: u64,
+) -> System<ArbiterKind, SourceKind> {
+    let bus =
+        BusConfig { max_burst: burst, arbitration_overhead: overhead, ..BusConfig::default() };
+    let mut builder: SystemBuilder<ArbiterKind, SourceKind> = SystemBuilder::new(bus)
+        .kernel(kernel)
+        .slave(Slave::with_wait_states(SlaveId::new(0), "mem", wait));
+    for (i, source) in sources.into_iter().enumerate() {
+        builder = builder.master(format!("M{}", i + 1), source);
+    }
+    if traced {
+        builder = builder.trace_capacity(1 << 15);
+    }
+    builder.arbiter(hot_arbiter(protocol, seed)).build().expect("valid lineup system")
+}
+
+/// Runs both kernels over the same slice schedule and asserts equal
+/// statistics, traces, and port states after every slice.
+fn assert_kernels_agree(
+    build: impl Fn(Kernel) -> System<ArbiterKind, SourceKind>,
+    slices: &[u64],
+    what: &str,
+) {
+    let mut cycle = build(Kernel::Cycle);
+    let mut event = build(Kernel::Event);
+    for &slice in slices {
+        cycle.run(slice);
+        event.run(slice);
+        assert_eq!(cycle.stats(), event.stats(), "{what}: statistics after a {slice}-cycle slice");
+        assert_eq!(cycle.trace(), event.trace(), "{what}: trace after a {slice}-cycle slice");
+        for m in 0..cycle.masters() {
+            let id = lotterybus_repro::socsim::MasterId::new(m);
+            assert_eq!(
+                (cycle.master(id).backlog_words(), cycle.master(id).issued_transactions()),
+                (event.master(id).backlog_words(), event.master(id).issued_transactions()),
+                "{what}: master {m} port state after a {slice}-cycle slice"
+            );
+        }
     }
 }
 
 #[test]
-fn fleet_scenario_library_matrix_matches_scalar_verdicts() {
-    // The whole committed scenario library through the fleet runner:
-    // every scenario's verdict JSON must be byte-identical to its solo
-    // scalar cycle-kernel run (ineligible scenarios take the scalar
-    // fallback inside the runner and must *also* match).
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios");
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .expect("scenarios/ exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "scenario"))
-        .collect();
-    files.sort();
-    assert!(files.len() >= 25, "the library ships at least 25 scenarios, found {}", files.len());
-    let library: Vec<scenario::Scenario> = files
-        .iter()
-        .map(|f| {
-            let text = std::fs::read_to_string(f).expect("readable");
-            scenario::Scenario::parse(&text)
-                .unwrap_or_else(|e| panic!("{} does not parse: {e}", f.display()))
-        })
-        .collect();
-    let refs: Vec<&scenario::Scenario> = library.iter().collect();
-    let packed = scenario::run_scenarios_fleet(&refs).expect("fleet pack runs");
-    for (sc, fleet_outcome) in library.iter().zip(&packed) {
-        let scalar = scenario::run_scenario(sc, Kernel::Cycle).expect("scalar run");
-        assert_eq!(
-            fleet_outcome.to_json().render(),
-            scalar.to_json().render(),
-            "scenario `{}`: fleet verdict diverged from the scalar cycle kernel",
-            sc.name
-        );
+fn event_kernel_is_exact_where_tenure_batching_used_to_approximate() {
+    // The cases the deferred-poll tenure batching never got right:
+    // saturated Bernoulli traffic, deficit round-robin, all-pending
+    // zero-stall TDMA (the arithmetic wheel walk), and grants paying a
+    // setup stall from arbitration overhead or slave wait states.
+    // Odd slice lengths end runs mid-tenure and mid-stall.
+    let slices = [1u64, 7, 333, 2, 4_096, 63, 12_000, 5];
+    let seed = 0x5EED_u64;
+    for protocol in HOT_PROTOCOLS {
+        let bernoulli = || {
+            lotterybus_repro::traffic::classes::saturating_specs(4)
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| spec.build_kind(seed + i as u64))
+                .collect()
+        };
+        let saturate =
+            |words: u32| (0..4).map(move |_| SourceKind::from(SaturateSource::new(0, words)));
+        for (shape, traced) in [((8, 0, 0), false), ((16, 2, 1), false), ((64, 0, 3), true)] {
+            assert_kernels_agree(
+                |k| lineup_system(k, protocol, bernoulli(), shape, traced, seed),
+                &slices,
+                &format!("{protocol} saturated Bernoulli {shape:?}"),
+            );
+            assert_kernels_agree(
+                |k| lineup_system(k, protocol, saturate(shape.0).collect(), shape, traced, seed),
+                &slices,
+                &format!("{protocol} all-pending saturate {shape:?}"),
+            );
+        }
     }
+}
+
+/// One random master's traffic shape.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Periodic { period: u64, phase: u64, words: u32 },
+    Poisson { rate_millis: u32, words: u32 },
+    Bursty { words: u32 },
+    Saturate { words: u32 },
+}
+
+impl Shape {
+    fn build(self, seed: u64) -> SourceKind {
+        match self {
+            Shape::Periodic { period, phase, words } => {
+                GeneratorSpec::periodic(period, phase, SizeDist::fixed(words)).build_kind(seed)
+            }
+            Shape::Poisson { rate_millis, words } => {
+                GeneratorSpec::poisson(f64::from(rate_millis) / 1000.0, SizeDist::fixed(words))
+                    .build_kind(seed)
+            }
+            Shape::Bursty { words } => {
+                GeneratorSpec::bursty(2, 6, 1, 30, 90, 4, SizeDist::fixed(words)).build_kind(seed)
+            }
+            Shape::Saturate { words } => SourceKind::from(SaturateSource::new(0, words)),
+        }
+    }
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        (10u64..200, 0u64..50, 1u32..24).prop_map(|(period, phase, words)| Shape::Periodic {
+            period,
+            phase,
+            words
+        }),
+        (1u32..200, 1u32..24)
+            .prop_map(|(rate_millis, words)| Shape::Poisson { rate_millis, words }),
+        (1u32..24).prop_map(|words| Shape::Bursty { words }),
+        (1u32..24).prop_map(|words| Shape::Saturate { words }),
+    ]
 }
 
 proptest! {
@@ -571,5 +641,37 @@ proptest! {
         prop_assert_eq!(&direct.0, &boxed.0, "{}: statistics diverged", protocol);
         prop_assert_eq!(&direct.1, &boxed.1, "{}: trace events diverged", protocol);
         prop_assert_eq!(&direct.2, &boxed.2, "{}: VCD bytes diverged", protocol);
+    }
+
+    /// Random heterogeneous systems — protocol, traffic mix, burst cap,
+    /// arbitration overhead, slave wait states, tracing and the slice
+    /// schedule all drawn independently — behave identically under
+    /// both kernels at every slice boundary.
+    #[test]
+    fn random_heterogeneous_systems_match_across_kernels(
+        shapes in prop::collection::vec(shape(), 4),
+        protocol_index in 0usize..HOT_PROTOCOLS.len(),
+        seed in 1u64..1_000_000,
+        burst in 1u32..40,
+        overhead in 0u32..3,
+        wait in 0u32..3,
+        traced in 0u8..2,
+        slices in prop::collection::vec(1u64..900, 1..6),
+    ) {
+        let protocol = HOT_PROTOCOLS[protocol_index];
+        let sources = || {
+            shapes.iter().enumerate().map(|(i, s)| s.build(seed.wrapping_add(i as u64))).collect()
+        };
+        let build =
+            |k| lineup_system(k, protocol, sources(), (burst, overhead, wait), traced == 1, seed);
+        let mut cycle = build(Kernel::Cycle);
+        let mut event = build(Kernel::Event);
+        for &slice in &slices {
+            cycle.run(slice);
+            event.run(slice);
+            prop_assert_eq!(cycle.stats(), event.stats(), "{}: statistics diverged", protocol);
+            prop_assert_eq!(cycle.trace(), event.trace(), "{}: traces diverged", protocol);
+            prop_assert_eq!(cycle.now(), event.now());
+        }
     }
 }

@@ -1,18 +1,20 @@
-//! Property tests for the SoA lockstep fleet kernel.
+//! Property tests for [`Fleet`], which runs its lanes under the event
+//! kernel.
 //!
 //! Random heterogeneous lane packs — protocol, master count, ticket
 //! spread, seeds, and traffic shapes all drawn independently per lane —
 //! must be *lane-exact*: every lane's statistics identical to the same
-//! system run solo through the scalar kernel. Two structural properties
-//! ride along: a one-lane fleet degenerates to the scalar kernel, and
-//! lane order is irrelevant (lanes never interact, so packing order is
-//! a pure layout choice).
+//! system run solo through the cycle kernel. Two structural properties
+//! ride along: a one-lane fleet degenerates to the solo cycle-kernel
+//! run, and lane order is irrelevant (lanes never interact, so packing
+//! order changes nothing).
 
 use lotterybus_repro::arbiters::{
-    ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter,
+    ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter,
+    WheelLayout,
 };
 use lotterybus_repro::lottery::{StaticLotteryArbiter, TicketAssignment};
-use lotterybus_repro::socsim::{BusConfig, BusStats, Fleet, LaneBuilder, SystemBuilder};
+use lotterybus_repro::socsim::{BusConfig, BusStats, Fleet, Kernel, LaneBuilder, SystemBuilder};
 use lotterybus_repro::traffic::{GeneratorSpec, SaturateSource, SizeDist, SourceKind};
 use proptest::prelude::*;
 
@@ -56,7 +58,7 @@ fn source_shape() -> impl Strategy<Value = SourceShape> {
 }
 
 /// Everything needed to build one lane twice: once into a fleet, once
-/// as a solo scalar system. Master count is `tickets.len()`.
+/// as a solo cycle-kernel system. Master count is `tickets.len()`.
 #[derive(Debug, Clone)]
 struct LaneRecipe {
     protocol: usize,
@@ -83,7 +85,8 @@ impl LaneRecipe {
                     self.tickets.iter().enumerate().map(|(i, &t)| t + 16 * i as u32).collect();
                 StaticPriorityArbiter::new(priorities).expect("valid").into()
             }
-            _ => DeficitRoundRobinArbiter::new(&self.tickets, 8).expect("valid").into(),
+            3 => DeficitRoundRobinArbiter::new(&self.tickets, 8).expect("valid").into(),
+            _ => TdmaArbiter::new(&self.tickets, WheelLayout::Interleaved).expect("valid").into(),
         }
     }
 
@@ -101,7 +104,7 @@ impl LaneRecipe {
 
     fn solo(&self) -> BusStats {
         let mut builder: SystemBuilder<ArbiterKind, SourceKind> =
-            SystemBuilder::new(BusConfig::default());
+            SystemBuilder::new(BusConfig::default()).kernel(Kernel::Cycle);
         for (i, shape) in self.shapes.iter().enumerate() {
             builder = builder.master(format!("M{}", i + 1), shape.build(self.master_seed(i)));
         }
@@ -116,7 +119,7 @@ fn lane_recipe() -> impl Strategy<Value = LaneRecipe> {
     // The vendored proptest has no flat-map: draw tickets and shapes at
     // the maximum width and truncate both to the drawn master count.
     (
-        0usize..4,
+        0usize..5,
         1usize..=4,
         0u64..u64::MAX,
         proptest::collection::vec(1u32..9, 4usize..=4),
@@ -150,21 +153,21 @@ proptest! {
             let solo = recipe.solo();
             prop_assert_eq!(
                 lane_stats, &solo,
-                "lane {} ({:?} protocol {}) diverged from its solo scalar run",
+                "lane {} ({:?} protocol {}) diverged from its solo cycle-kernel run",
                 i, recipe.shapes, recipe.protocol
             );
         }
     }
 
-    /// A fleet of one lane IS the scalar kernel.
+    /// A fleet of one lane equals its solo cycle-kernel run.
     #[test]
     fn single_lane_fleet_degenerates_to_scalar(recipe in lane_recipe()) {
         let packed = run_pack(std::slice::from_ref(&recipe));
         prop_assert_eq!(&packed[0], &recipe.solo());
     }
 
-    /// Lane order is a pure layout choice: shuffling the pack permutes
-    /// the outputs and changes nothing else.
+    /// Lane order is irrelevant: shuffling the pack permutes the
+    /// outputs and changes nothing else.
     #[test]
     fn lane_order_is_irrelevant(
         recipes in proptest::collection::vec(lane_recipe(), 2..6),
