@@ -1,8 +1,8 @@
 //! The two simulation kernels (cycle, event) on the paper's workload
 //! shapes (Figures 4/5/6): mostly-idle periodic traffic (the idle
 //! skip's best case), the Figure 5 TDMA replay, and a saturated
-//! four-master Bernoulli system (the event kernel's worst case — its
-//! every-cycle polls leave nothing to batch, so the batching checks
+//! four-master Bernoulli system (the event kernel's hardest case — it
+//! batches only between drawn-ahead arrivals, so the batching checks
 //! must cost next to nothing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

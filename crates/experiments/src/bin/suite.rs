@@ -34,8 +34,9 @@
 //!   hard-asserted equal in every probe), run the saturated hot-path
 //!   lineup (steady-state cycles/sec per protocol), and write the
 //!   wall-clock report to FILE: parallel speedup, metrics overhead,
-//!   kernel speedups, the `tlm` and `event` probe sections, per-phase
-//!   breakdown and per-protocol hot-path throughput.
+//!   kernel speedups (the `kernel_lowutil` / `kernel_saturated` probes
+//!   and the `event` section), per-phase breakdown and per-protocol
+//!   hot-path throughput.
 //!
 //! Timing telemetry always goes to **stderr** so stdout stays a clean,
 //! diffable result stream.
@@ -172,8 +173,9 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
     eprintln!("{}", sim_phases_report(&profiler));
 
     // Targeted kernel probes: the event kernel must win big on a
-    // mostly-idle workload and must not lose on a saturated Bernoulli
-    // one, whose every-cycle polls leave nothing to batch. Each probe
+    // mostly-idle workload and should win on a saturated Bernoulli one,
+    // where sources draw ahead to their next arrival so the kernel
+    // skips between arrivals instead of polling every cycle. Each probe
     // hard-asserts equal statistics before reporting a ratio.
     let probe = off.settings().with_jobs(1);
     let lowutil = kernel_probe(&experiments::common::low_utilization_specs(4), &probe);
@@ -248,12 +250,6 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         .field("kernel_byte_identical", true)
         .field("kernel_lowutil", lowutil.to_json())
         .field("kernel_saturated", saturated.to_json())
-        .field(
-            "tlm",
-            experiments::json::Json::obj()
-                .field("lowutil", lowutil.to_json())
-                .field("saturated", saturated.to_json()),
-        )
         .field("analytic", analytic_probe.to_json())
         .field("hot", experiments::hotpath::hot_json(&hot))
         .field("event", event_probe.to_json())

@@ -13,9 +13,10 @@
 //! * Periodic and on–off generators catch up when first polled at a
 //!   late cycle: they emit every arrival their schedule placed in the
 //!   skipped span, stamped in the past. (Bernoulli generators do not
-//!   — they draw once per poll and stamp at the polled cycle.) A
-//!   phase's generator is first polled at the phase start, so
-//!   arrivals stamped before the phase went live are discarded here.
+//!   — their first poll anchors the per-cycle draws, so they never
+//!   stamp before it.) A phase's generator is first polled at the
+//!   phase start, so arrivals stamped before the phase went live are
+//!   discarded here.
 //! * [`PhasedSource::next_event`] never reports a horizon past the
 //!   current phase's end, so the event kernel cannot skip a boundary
 //!   and miss the generator switch.
@@ -196,8 +197,8 @@ mod tests {
     #[test]
     fn no_arrival_is_stamped_before_its_phase_started() {
         // First poll of the flash phase happens at cycle 2000; the
-        // Bernoulli generator back-fills everything since cycle 0 and
-        // the wrapper must discard those stale stamps.
+        // Bernoulli generator anchors its draws there, so nothing may
+        // carry an earlier stamp.
         let m = master(0.5, Arrival::Poisson);
         let mut src = PhasedSource::build(0, &m, &phases(), 11);
         let mut stamps = Vec::new();

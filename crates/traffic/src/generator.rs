@@ -11,7 +11,9 @@ use std::collections::VecDeque;
 /// Internally the source keeps a small queue of generated-but-not-yet-due
 /// messages so that bursty arrival processes can stamp several messages
 /// with their true arrival cycles while the bus interface consumes them
-/// one per cycle.
+/// one per cycle. A Bernoulli process draws its per-cycle coin flips
+/// ahead of time, up to the next hit, so it can announce that arrival
+/// as its [`TrafficSource::next_event`] horizon.
 ///
 /// ```
 /// use traffic_gen::{GeneratorSpec, SizeDist, StochasticSource};
@@ -29,23 +31,42 @@ pub struct StochasticSource {
     rng: StdRng,
     /// Messages stamped with their arrival cycle, awaiting emission.
     pending: VecDeque<Transaction>,
-    /// Next arrival event for the periodic / on–off processes.
+    /// Next arrival event: for the periodic / on–off processes the next
+    /// scheduled arrival, for Bernoulli the next drawn hit (when `hit`)
+    /// or the scan checkpoint where drawing resumes.
     next_event: u64,
+    /// Whether the arrival schedule is anchored. Periodic and on–off
+    /// schedules are absolute; a Bernoulli source anchors its draws at
+    /// its first poll.
+    armed: bool,
+    /// Bernoulli: whether `next_event` is a drawn hit whose size draws
+    /// are still to come.
+    hit: bool,
 }
 
 impl StochasticSource {
+    /// How many cycles past the polled cycle a Bernoulli source draws
+    /// ahead before it reports a checkpoint horizon instead of a hit.
+    /// Bounds the work of one poll at tiny rates; any value gives the
+    /// same stream.
+    pub const LOOKAHEAD: u64 = 4096;
+
     /// Creates the source described by `spec`, seeded with `seed`.
     pub fn new(spec: GeneratorSpec, seed: u64) -> Self {
-        let next_event = match spec.arrival {
-            ArrivalSpec::Periodic { phase, .. } => phase,
-            ArrivalSpec::Bernoulli { .. } => 0,
-            ArrivalSpec::OnOff { phase, .. } => phase,
+        let (next_event, armed) = match spec.arrival {
+            ArrivalSpec::Periodic { phase, .. } => (phase, true),
+            ArrivalSpec::Bernoulli { rate } if rate > 0.0 => (0, false),
+            // A zero rate never draws: anchored at "never".
+            ArrivalSpec::Bernoulli { .. } => (u64::MAX, true),
+            ArrivalSpec::OnOff { phase, .. } => (phase, true),
         };
         StochasticSource {
             spec,
             rng: StdRng::seed_from_u64(seed),
             pending: VecDeque::new(),
             next_event,
+            armed,
+            hit: false,
         }
     }
 
@@ -63,6 +84,21 @@ impl StochasticSource {
         ));
     }
 
+    /// Takes the per-cycle Bernoulli draws for cycles `from..limit` in
+    /// order and stops at the first hit, which becomes the next event;
+    /// without one, `limit` becomes a checkpoint where drawing resumes.
+    fn scan(&mut self, from: u64, limit: u64, p: f64) {
+        self.hit = false;
+        self.next_event = limit;
+        for cycle in from..limit {
+            if self.rng.gen_bool(p) {
+                self.hit = true;
+                self.next_event = cycle;
+                return;
+            }
+        }
+    }
+
     fn generate_arrivals(&mut self, now: u64) {
         match self.spec.arrival {
             ArrivalSpec::Periodic { period, jitter, .. } => {
@@ -73,8 +109,19 @@ impl StochasticSource {
                 }
             }
             ArrivalSpec::Bernoulli { rate } => {
-                if rate > 0.0 && self.rng.gen_bool(rate.min(1.0)) {
-                    self.push_message(now);
+                if !self.armed {
+                    self.armed = true;
+                    self.next_event = now;
+                }
+                while self.next_event <= now {
+                    let from = if self.hit {
+                        let at = self.next_event;
+                        self.push_message(at);
+                        at + 1
+                    } else {
+                        self.next_event
+                    };
+                    self.scan(from, now.saturating_add(Self::LOOKAHEAD), rate.min(1.0));
                 }
             }
             ArrivalSpec::OnOff { burst_min, burst_max, intra_gap, off_min, off_max, .. } => {
@@ -111,30 +158,27 @@ impl TrafficSource for StochasticSource {
     }
 
     /// The earliest cycle at which a poll could emit a message or draw
-    /// from the RNG (see [`socsim::fastforward`]).
+    /// from the RNG (see [`socsim::fastforward`]): the earlier of the
+    /// next arrival event and the earliest already-generated message
+    /// waiting in the queue (jitter and intra-burst stamps can sit in
+    /// the future).
     ///
-    /// * Bernoulli with a positive rate draws every single poll, so its
-    ///   horizon is always `now`; a zero rate never draws nor emits.
-    /// * Periodic and on–off processes mutate state only once
-    ///   `next_event` comes due, so the horizon is the earlier of that
-    ///   arrival event and the earliest already-generated message
-    ///   waiting in the queue (jitter and intra-burst stamps can sit in
-    ///   the future).
+    /// * Periodic and on–off processes mutate state only once their
+    ///   next scheduled arrival comes due.
+    /// * A Bernoulli process takes the same per-cycle draw stream as
+    ///   drawing once per polled cycle, but ahead of time: its first
+    ///   poll anchors draw `k` to cycle `first_poll + k`, so until then
+    ///   the horizon is `now`. After that it is the next hit — drawn,
+    ///   its size draws still to come — or, when no hit lies within
+    ///   the look-ahead window, the checkpoint where drawing resumes. A
+    ///   zero rate never draws nor emits.
     fn next_event(&self, now: Cycle) -> Cycle {
+        if !self.armed {
+            return now;
+        }
+        let arrival = Cycle::new(self.next_event);
         let pending = self.pending.iter().map(Transaction::issued_at).min();
-        let horizon = match self.spec.arrival {
-            ArrivalSpec::Bernoulli { rate } => {
-                if rate > 0.0 {
-                    return now;
-                }
-                pending.unwrap_or(Cycle::NEVER)
-            }
-            ArrivalSpec::Periodic { .. } | ArrivalSpec::OnOff { .. } => {
-                let arrival = Cycle::new(self.next_event);
-                pending.map_or(arrival, |p| p.min(arrival))
-            }
-        };
-        horizon.max(now)
+        pending.map_or(arrival, |p| p.min(arrival)).max(now)
     }
 }
 

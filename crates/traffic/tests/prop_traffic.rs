@@ -1,13 +1,53 @@
 //! Property-based tests for the traffic generators.
 
 use proptest::prelude::*;
-use socsim::{Cycle, TrafficSource};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use socsim::{Cycle, SlaveId, TrafficSource, Transaction};
 use traffic_gen::{GeneratorSpec, ReplaySource, SizeDist, StochasticSource, TrafficClass};
 
 fn drain(source: &mut dyn TrafficSource, cycles: u64) -> Vec<(u64, u64, u32)> {
     (0..cycles)
         .filter_map(|c| source.poll(Cycle::new(c)).map(|t| (c, t.issued_at().index(), t.words())))
         .collect()
+}
+
+/// The reference Bernoulli generator: one `gen_bool` draw per poll,
+/// the arrival's size draws right after a hit, stamped at the polled
+/// cycle. `StochasticSource` must produce exactly this stream while
+/// drawing ahead.
+struct PerPollBernoulli {
+    rng: StdRng,
+    rate: f64,
+    size: SizeDist,
+}
+
+impl PerPollBernoulli {
+    fn poll(&mut self, now: Cycle) -> Option<Transaction> {
+        if self.rate > 0.0 && self.rng.gen_bool(self.rate.min(1.0)) {
+            Some(Transaction::new(SlaveId::new(0), self.size.sample(&mut self.rng), now))
+        } else {
+            None
+        }
+    }
+}
+
+/// `(poll cycle, issued_at, words)` for one emission.
+type Emission = (u64, u64, u32);
+
+fn emission(now: Cycle, t: Transaction) -> Emission {
+    (now.index(), t.issued_at().index(), t.words())
+}
+
+fn rate_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        // Below one hit per look-ahead window: the checkpoint path.
+        Just(1e-7),
+        Just(1.0),
+        0.0f64..1.0,
+        0.0005f64..0.02,
+    ]
 }
 
 fn size_strategy() -> impl Strategy<Value = SizeDist> {
@@ -98,5 +138,56 @@ proptest! {
                 prop_assert!(spec.offered_load() <= 1.0 + 1e-9, "{}", class);
             }
         }
+    }
+
+    #[test]
+    fn lookahead_bernoulli_reproduces_the_per_poll_stream(
+        rate in rate_strategy(),
+        size in size_strategy(),
+        seed in 0u64..1_000_000,
+        first_poll in 0u64..10_000,
+    ) {
+        let cycles = 20_000u64;
+        let end = first_poll + cycles;
+        let mut reference = PerPollBernoulli { rng: StdRng::seed_from_u64(seed), rate, size };
+        let want: Vec<Emission> = (first_poll..end)
+            .filter_map(|c| reference.poll(Cycle::new(c)).map(|t| emission(Cycle::new(c), t)))
+            .collect();
+        let spec = GeneratorSpec::poisson(rate, size);
+
+        // Polled every cycle, as the multichannel bus does: the horizon
+        // announced before each poll is never in the past, and every
+        // emission lands exactly on it.
+        let mut every = StochasticSource::new(spec, seed);
+        let mut got = Vec::new();
+        for c in first_poll..end {
+            let now = Cycle::new(c);
+            let horizon = every.next_event(now);
+            prop_assert!(horizon >= now, "horizon {} before now {}", horizon, c);
+            if let Some(t) = every.poll(now) {
+                prop_assert_eq!(horizon, now, "emission at {} skipped by the horizon", c);
+                got.push(emission(now, t));
+            }
+        }
+        prop_assert_eq!(&got, &want);
+
+        // Polled only at its horizons, as the event kernel does: a live
+        // source not yet polled reports `now` (a zero rate, never), and
+        // skipping to each announced horizon loses nothing.
+        let mut skipping = StochasticSource::new(spec, seed);
+        let unpolled = if rate > 0.0 { Cycle::new(first_poll) } else { Cycle::NEVER };
+        prop_assert_eq!(skipping.next_event(Cycle::new(first_poll)), unpolled);
+        let mut got = Vec::new();
+        let mut c = first_poll;
+        while c < end {
+            let now = Cycle::new(c);
+            if let Some(t) = skipping.poll(now) {
+                got.push(emission(now, t));
+            }
+            let horizon = skipping.next_event(now + 1);
+            prop_assert!(horizon > now, "horizon {} not after the poll at {}", horizon, c);
+            c = horizon.index();
+        }
+        prop_assert_eq!(&got, &want);
     }
 }

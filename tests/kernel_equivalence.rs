@@ -255,8 +255,8 @@ fn scenario_and_suite_experiment_match_across_the_full_kernel_matrix() {
     );
 
     // Suite experiments on a low-utilization periodic workload and on
-    // the saturated Bernoulli one, whose every-cycle polls forbid
-    // batching and must send the event kernel back to stepping.
+    // the saturated Bernoulli one, whose frequent arrivals keep the
+    // event kernel's batches short.
     let settings = short();
     for specs in [
         experiments::common::low_utilization_specs(4),
@@ -672,6 +672,83 @@ proptest! {
             prop_assert_eq!(cycle.stats(), event.stats(), "{}: statistics diverged", protocol);
             prop_assert_eq!(cycle.trace(), event.trace(), "{}: traces diverged", protocol);
             prop_assert_eq!(cycle.now(), event.now());
+        }
+    }
+}
+
+use lotterybus_repro::socsim::{Cycle, Transaction};
+use lotterybus_repro::traffic::StochasticSource;
+use std::cell::Cell;
+use std::rc::Rc;
+
+/// Forwards every call to the wrapped source and counts `(polls,
+/// arrivals)`, so a test can see whether a kernel skipped to the
+/// source's horizons or fell back to polling it every cycle.
+struct PollCounter {
+    inner: SourceKind,
+    counts: Rc<Cell<(u64, u64)>>,
+}
+
+impl TrafficSource for PollCounter {
+    fn poll(&mut self, now: Cycle) -> Option<Transaction> {
+        self.poll_with_backlog(now, 0)
+    }
+
+    fn poll_with_backlog(&mut self, now: Cycle, backlog: usize) -> Option<Transaction> {
+        let txn = self.inner.poll_with_backlog(now, backlog);
+        let (polls, arrivals) = self.counts.get();
+        self.counts.set((polls + 1, arrivals + u64::from(txn.is_some())));
+        txn
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        self.inner.next_event(now)
+    }
+
+    fn pure_while_backlogged(&self) -> bool {
+        self.inner.pure_while_backlogged()
+    }
+}
+
+#[test]
+fn bernoulli_sources_are_polled_only_at_arrivals_and_checkpoints() {
+    // A Bernoulli source draws ahead to its next arrival, so both
+    // kernels' horizon-aware poll loops visit it once per arrival, once
+    // per look-ahead checkpoint, and once at the first poll — never
+    // every cycle.
+    let cycles = 50_000u64;
+    let seed = 0xB0B_u64;
+    for class in [TrafficClass::T1, TrafficClass::T3] {
+        let specs = class.specs(&[1, 2, 3, 4]);
+        for protocol in HOT_PROTOCOLS {
+            let mut stats = Vec::new();
+            for kernel in [Kernel::Cycle, Kernel::Event] {
+                let counts: Vec<Rc<Cell<(u64, u64)>>> =
+                    specs.iter().map(|_| Rc::default()).collect();
+                let sources = specs
+                    .iter()
+                    .zip(&counts)
+                    .enumerate()
+                    .map(|(i, (spec, counts))| {
+                        let inner = spec.build_kind(seed + i as u64);
+                        let counter = PollCounter { inner, counts: Rc::clone(counts) };
+                        SourceKind::Custom(Box::new(counter))
+                    })
+                    .collect();
+                let mut system = lineup_system(kernel, protocol, sources, (16, 0, 0), false, seed);
+                stats.push(system.run(cycles).clone());
+                for (m, counts) in counts.iter().enumerate() {
+                    let (polls, arrivals) = counts.get();
+                    let bound = arrivals + cycles / StochasticSource::LOOKAHEAD + 2;
+                    assert!(arrivals > 0, "{class} {protocol} {kernel:?} M{m}: no arrivals");
+                    assert!(
+                        polls <= bound,
+                        "{class} {protocol} {kernel:?} M{m}: {polls} polls for {arrivals} \
+                         arrivals over {cycles} cycles (bound {bound})"
+                    );
+                }
+            }
+            assert_eq!(stats[0], stats[1], "{class} {protocol}: kernels disagree");
         }
     }
 }

@@ -7,10 +7,12 @@ check is *soft* for measurements: CI wall-clock numbers are noisy, so
 regressions are reported as warnings. Deterministic facts and same-run
 ratios are hard: the analytic search probe must scan exactly 1,048,576
 points, short-list 8 candidates and find the baseline's feasible count;
-the event kernel must reproduce the cycle kernel's statistics on the
-saturated Bernoulli lineup and beat it by at least 5x on the saturated
-long-burst lineup; otherwise the script exits 1. The other hard gates
-(byte-identity of result documents) live in the suite binary itself.
+the event kernel must reproduce the cycle kernel's statistics in the
+low-utilization and saturated Bernoulli probes and beat it by at least
+5x on the saturated long-burst lineup; otherwise the script exits 1.
+The other hard gates (byte-identity of result documents) live in the
+suite binary itself. Baselines from older report formats (e.g. with
+the retired `tlm` section) are accepted; their extra keys are ignored.
 
 Usage: bench_regression.py CURRENT.json BASELINE.json
 """
@@ -21,26 +23,21 @@ import sys
 # Wall-clock comparisons tolerate this much slowdown before warning.
 NOISE_TOLERANCE = 0.25
 
-# The event kernel must beat the cycle kernel by at least this factor on
-# the mostly-idle workload...
-LOWUTIL_MIN_SPEEDUP = 2.0
-# ...and must not cost more than 5% at saturation.
-SATURATED_MIN_RATIO = 0.95
+# Kernel probes (`kernel_lowutil`, `kernel_saturated`): one floor each,
+# soft, with the probe's statistics-equality flag hard. On the
+# mostly-idle workload the event kernel must beat the cycle kernel by
+# at least this factor (the PR-7 acceptance target; measured ~20x).
+LOWUTIL_MIN_SPEEDUP = 10.0
+# On the saturated Bernoulli workload the sources draw ahead to their
+# next arrival, so the event kernel batches between arrivals; it should
+# beat the cycle kernel by at least this factor. Measured ~1.3x, so it
+# warns: the cycle kernel's horizon-aware poll loop skips the same
+# polls, and an arrival every few cycles keeps the batches short.
+SATURATED_MIN_SPEEDUP = 1.5
 
 # Saturated hot-path throughput (cycles/sec per protocol, the `hot`
 # section) may drop this far against the baseline before warning.
 HOT_NOISE_TOLERANCE = 0.25
-
-# The `tlm` section keeps the TLM kernel's floors, now applied to the
-# event kernel that replaced it. On the low-utilization workload it
-# must deliver at least this speedup over the cycle kernel (the PR-7
-# acceptance target; measured ~24x).
-TLM_LOWUTIL_MIN_SPEEDUP = 10.0
-# On the saturated Bernoulli workload the floor stays where the
-# approximate TLM kernel set it. The event kernel is exact there and
-# Bernoulli polls are not pure, so nothing is batched and this floor is
-# expected to warn until arrival batching lands.
-TLM_SATURATED_MIN_SPEEDUP = 1.5
 
 # Event-kernel gate (the `event` section). On the saturated long-burst
 # lineup, TDMA included, the event kernel must beat the cycle kernel of
@@ -84,22 +81,20 @@ def load(path):
         return json.load(handle)
 
 
-def check_tlm(tlm, warn, fail):
-    """Gate the `tlm` probes: speed floors (soft) and exactness (hard)."""
-    for name, floor in (
-        ("lowutil", TLM_LOWUTIL_MIN_SPEEDUP),
-        ("saturated", TLM_SATURATED_MIN_SPEEDUP),
-    ):
-        probe = tlm.get(name, {})
-        if probe.get("byte_identical") is not True:
-            fail(f"tlm.{name}: event kernel statistics differ from the cycle kernel's")
-        speedup = probe.get("speedup")
-        if speedup is None:
-            warn(f"tlm.{name} lacks speedup")
-        elif speedup < floor:
-            warn(f"tlm {name} speedup is {speedup:.2f}x (want >= {floor:.1f}x)")
-        else:
-            print(f"ok: tlm {name} speedup {speedup:.2f}x (exact)")
+def check_kernel_probe(name, probe, floor, warn, fail):
+    """Gate one kernel probe: exactness (hard) and its speed floor (soft)."""
+    if probe is None:
+        warn(f"report lacks {name} (old report format?)")
+        return
+    if probe.get("byte_identical") is not True:
+        fail(f"{name}: event kernel statistics differ from the cycle kernel's")
+    speedup = probe.get("speedup")
+    if speedup is None:
+        warn(f"{name} lacks speedup")
+    elif speedup < floor:
+        warn(f"{name} speedup is {speedup:.2f}x (want >= {floor:.1f}x)")
+    else:
+        print(f"ok: {name} speedup {speedup:.2f}x (exact)")
 
 
 def check_event(event, fail):
@@ -233,37 +228,15 @@ def main(argv):
             print("benchmark comparison clean")
         return 0
 
-    lowutil = current.get("kernel_lowutil", {}).get("speedup")
-    if lowutil is None:
-        warn("report lacks kernel_lowutil.speedup (old report format?)")
-    elif lowutil < LOWUTIL_MIN_SPEEDUP:
-        warn(
-            f"event kernel speedup on the low-utilization workload is {lowutil:.2f}x "
-            f"(want >= {LOWUTIL_MIN_SPEEDUP:.1f}x)"
-        )
-    else:
-        print(f"ok: event kernel low-utilization speedup {lowutil:.2f}x")
-
-    saturated = current.get("kernel_saturated", {}).get("speedup")
-    if saturated is None:
-        warn("report lacks kernel_saturated.speedup (old report format?)")
-    elif saturated < SATURATED_MIN_RATIO:
-        warn(
-            f"event kernel is {saturated:.2f}x at saturation "
-            f"(slower than the {SATURATED_MIN_RATIO:.2f}x floor)"
-        )
-    else:
-        print(f"ok: event kernel saturated ratio {saturated:.2f}x")
+    for name, floor in (
+        ("kernel_lowutil", LOWUTIL_MIN_SPEEDUP),
+        ("kernel_saturated", SATURATED_MIN_SPEEDUP),
+    ):
+        check_kernel_probe(name, current.get(name), floor, warn, fail)
 
     suite = current.get("kernel_suite_speedup")
     if suite is not None:
         print(f"info: whole-suite event-kernel speedup {suite:.2f}x")
-
-    tlm = current.get("tlm")
-    if tlm is None:
-        warn("report lacks the tlm probe section (old report format?)")
-    else:
-        check_tlm(tlm, warn, fail)
 
     analytic = current.get("analytic")
     if analytic is None:
